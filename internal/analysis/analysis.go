@@ -42,40 +42,96 @@ type EdgeKey struct {
 // function f. f must be in SSA form. forcedNonConst lists values the caller
 // requires to be treated as non-constant (used by the splitter to demote
 // values whose set-up computation cannot be scheduled).
+//
+// Inside the fixpoint, blocks are addressed by their position in the
+// region's reverse postorder, CFG edges by dense slots, and reachability
+// conditions by their IDs in a condTable private to this call; the result
+// maps are filled once, after convergence.
 func Analyze(f *ir.Func, r *ir.Region, forcedNonConst map[ir.Value]bool) (*Result, error) {
 	if !f.SSA {
 		return nil, fmt.Errorf("analysis: %s is not in SSA form", f.Name)
 	}
-	res := &Result{
-		Region:      r,
-		Const:       map[ir.Value]bool{},
-		BlockReach:  map[*ir.Block]Cond{},
-		EdgeReach:   map[EdgeKey]Cond{},
-		ConstMerge:  map[*ir.Block]bool{},
-		ConstBranch: map[*ir.Instr]bool{},
-	}
-
 	inRegion := func(b *ir.Block) bool { return b != nil && b.Region == r }
 
 	// Region blocks in reverse postorder (within the whole function's RPO).
-	var blocks []*ir.Block
-	for _, b := range f.ReversePostorder() {
+	rpo := f.ReversePostorder()
+	blocks := make([]*ir.Block, 0, len(rpo))
+	for _, b := range rpo {
 		if inRegion(b) {
 			blocks = append(blocks, b)
 		}
 	}
+	nb := 0
+	for _, b := range blocks {
+		nb = max(nb, b.ID+1)
+	}
+	posOf := make([]int32, nb)
+	for i := range posOf {
+		posOf[i] = -1
+	}
+	for p, b := range blocks {
+		posOf[b.ID] = int32(p)
+	}
+	pos := func(b *ir.Block) int {
+		if b.ID < len(posOf) {
+			return int(posOf[b.ID])
+		}
+		return -1
+	}
+	entry := pos(r.Entry)
 
-	// Seed values: annotated constants (incl. keys).
-	seeds := map[ir.Value]bool{}
+	// Edge slots: block p's predecessor slot pi (aligned with φ argument
+	// order) is edge edgeBase[p]+pi. targetSlot maps each terminator target
+	// (block p's ti-th at targetBase[p]+ti) to the slot of its edge, or -1
+	// when the target lies outside the region; duplicate targets of one
+	// terminator take successive predecessor slots.
+	nt := 0
+	for _, b := range blocks {
+		nt += len(b.Succs())
+	}
+	// One allocation carved into several tables here and below.
+	nblk := len(blocks)
+	ints := make([]int, 2*nblk+2+nt)
+	edgeBase, targetBase, targetSlot := ints[:nblk+1], ints[nblk+1:2*nblk+2], ints[2*nblk+2:]
+	for p, b := range blocks {
+		edgeBase[p+1] = edgeBase[p] + len(b.Preds)
+		targetBase[p+1] = targetBase[p] + len(b.Succs())
+	}
+	for p, b := range blocks {
+		targets := b.Succs()
+		for ti, s := range targets {
+			slot := -1
+			if q := pos(s); q >= 0 {
+				n := 0
+				for _, s2 := range targets[:ti] {
+					if s2 == s {
+						n++
+					}
+				}
+				if pi := nthPredIndex(s, b, n); pi >= 0 {
+					slot = edgeBase[q] + pi
+				}
+			}
+			targetSlot[targetBase[p]+ti] = slot
+		}
+	}
+
+	nv := f.NumValues()
+	vals := make([]bool, 3*nv)
+	isConst, seed, definedIn := vals[:nv], vals[nv:2*nv], vals[2*nv:]
 	for _, v := range r.Consts {
-		seeds[v] = true
+		seed[v] = true
 	}
 
 	// Unrolled loop heads are constant merges by decree (exactly one
 	// predecessor arc is ever taken per unrolled copy, paper section 3.1).
-	loopHead := map[*ir.Block]bool{}
+	flags := make([]bool, 4*nblk)
+	loopHead, ordinaryLoopHead := flags[:nblk], flags[nblk:2*nblk]
+	constMerge, constBranch := flags[2*nblk:3*nblk], flags[3*nblk:]
 	for _, l := range r.Loops {
-		loopHead[l.Head] = true
+		if p := pos(l.Head); p >= 0 {
+			loopHead[p] = true
+		}
 	}
 
 	// Heads of loops that are *not* unrolled must be non-constant merges
@@ -83,43 +139,44 @@ func Analyze(f *ir.Func, r *ir.Region, forcedNonConst map[ir.Value]bool) (*Resul
 	// loop back edge arc will not normally be mutually exclusive" — we make
 	// the safe choice unconditionally). Detect back-edge targets with a DFS
 	// over the region subgraph.
-	ordinaryLoopHead := map[*ir.Block]bool{}
-	{
-		state := map[*ir.Block]int{} // 0 unvisited, 1 on stack, 2 done
-		var dfs func(b *ir.Block)
-		dfs = func(b *ir.Block) {
-			state[b] = 1
-			for _, s := range b.Succs() {
-				if !inRegion(s) {
+	if entry >= 0 {
+		state := make([]uint8, len(blocks)) // 0 unvisited, 1 on stack, 2 done
+		var dfs func(p int)
+		dfs = func(p int) {
+			state[p] = 1
+			for _, s := range blocks[p].Succs() {
+				q := pos(s)
+				if q < 0 {
 					continue
 				}
-				switch state[s] {
+				switch state[q] {
 				case 0:
-					dfs(s)
+					dfs(q)
 				case 1:
-					if !loopHead[s] {
-						ordinaryLoopHead[s] = true
+					if !loopHead[q] {
+						ordinaryLoopHead[q] = true
 					}
 				}
 			}
-			state[b] = 2
+			state[p] = 2
 		}
-		dfs(r.Entry)
+		dfs(entry)
 	}
 
 	// Optimistic initialization: every value defined inside the region is
 	// assumed constant; values defined outside are constant iff seeded.
-	definedIn := map[ir.Value]bool{}
 	for _, b := range blocks {
 		for _, in := range b.Instrs {
 			if in.Dst != 0 {
 				definedIn[in.Dst] = true
-				res.Const[in.Dst] = true
+				isConst[in.Dst] = true
 			}
 		}
 	}
-	for v := range seeds {
-		res.Const[v] = true
+	for v, s := range seed {
+		if s {
+			isConst[v] = true
+		}
 	}
 	// Compile-time literal constants are a special case of run-time
 	// constants (paper section 3.1 footnote): a literal defined before the
@@ -127,34 +184,46 @@ func Analyze(f *ir.Func, r *ir.Region, forcedNonConst map[ir.Value]bool) (*Resul
 	for _, b := range blocks {
 		for _, in := range b.Instrs {
 			for _, a := range in.Args {
-				if definedIn[a] || res.Const[a] {
+				if definedIn[a] || isConst[a] {
 					continue
 				}
 				if def := f.DefOf(a); def != nil &&
 					(def.Op == ir.OpConst || def.Op == ir.OpFConst) {
-					res.Const[a] = true
+					isConst[a] = true
 				}
 			}
 		}
 	}
 	for v := range forcedNonConst {
-		res.Const[v] = false
-		delete(seeds, v)
+		isConst[v] = false
+		seed[v] = false
 	}
 
-	isConst := func(v ir.Value) bool { return res.Const[v] }
 	allConst := func(vs []ir.Value) bool {
 		for _, v := range vs {
-			if !isConst(v) {
+			if !isConst[v] {
 				return false
 			}
 		}
 		return true
 	}
+	constPredicate := func(term *ir.Instr) bool {
+		switch term.Op {
+		case ir.OpBr, ir.OpSwitch:
+			return isConst[term.Args[0]]
+		}
+		return false
+	}
+	// rooted caches rootedAtGlobal per load address: 0 unknown, 1 no, 2 yes.
+	rooted := make([]uint8, nv)
+
+	t := newCondTable(blocks)
+	conds := make([]uint32, nblk+edgeBase[nblk])
+	reach, edge := conds[:nblk], conds[nblk:]
 
 	// Interleaved fixpoint: facts only move downward (const→nonconst,
 	// conditions toward weaker), so iteration terminates.
-	maxRounds := 4*len(blocks) + f.NumValues() + 16
+	maxRounds := 4*len(blocks) + nv + 16
 	for round := 0; ; round++ {
 		if round > maxRounds {
 			return nil, fmt.Errorf("analysis: fixpoint did not converge in region %d of %s", r.ID, f.Name)
@@ -162,63 +231,59 @@ func Analyze(f *ir.Func, r *ir.Region, forcedNonConst map[ir.Value]bool) (*Resul
 		changed := false
 
 		// --- Reachability pass (forward, least fixpoint over the region).
-		reach := map[*ir.Block]Cond{}
-		for _, b := range blocks {
-			reach[b] = False()
+		for i := range reach {
+			reach[i] = t.falseC
 		}
-		edge := map[EdgeKey]Cond{}
-		reach[r.Entry] = True()
+		for i := range edge {
+			edge[i] = t.falseC
+		}
+		if entry >= 0 {
+			reach[entry] = t.trueC
+		}
 		for iter := 0; ; iter++ {
 			rchanged := false
-			for _, b := range blocks {
+			for p, b := range blocks {
 				term := b.Term()
 				if term == nil {
 					continue
 				}
-				// Per-successor occurrence counters align duplicate edges
-				// with predecessor slots.
-				occ := map[*ir.Block]int{}
+				cp := constPredicate(term)
 				for ti, s := range term.Targets {
-					if !inRegion(s) {
-						occ[s]++
+					if pos(s) < 0 {
 						continue
 					}
-					ec := reach[b]
-					if res.constPredicate(term, isConst) && !reach[b].IsFalse() {
-						ec = ec.And(Atom{Block: b, Succ: ti})
+					ec := reach[p]
+					if cp && ec != t.falseC {
+						ec = t.and(ec, t.atom(p, ti))
 					}
 					// Atoms of branches inside an unrolled loop describe a
 					// *per-iteration* outcome; once control leaves the loop
 					// they no longer denote a single fixed value, so strip
 					// them (weakening the condition, which is conservative).
-					ec = stripLeftLoopAtoms(ec, b, s)
-					// Find the predecessor slot for this edge occurrence.
-					slot := nthPredIndex(s, b, occ[s])
-					occ[s]++
-					k := EdgeKey{To: s, PredIdx: slot}
-					if !Equal(edge[k], ec) {
-						edge[k] = ec
+					ec = t.stripLeftLoopAtoms(ec, b, s)
+					if slot := targetSlot[targetBase[p]+ti]; slot >= 0 && edge[slot] != ec {
+						edge[slot] = ec
 						rchanged = true
 					}
 				}
 			}
-			for _, b := range blocks {
-				if b == r.Entry {
+			for p, b := range blocks {
+				if p == entry {
 					continue
 				}
-				nc := False()
-				for pi, p := range b.Preds {
-					if !inRegion(p) {
+				nc := t.falseC
+				for pi, pb := range b.Preds {
+					if !inRegion(pb) {
 						// Control entering the region other than at the
 						// entry is rejected by lowering; defensively treat
 						// as always-reachable.
-						nc = nc.Or(True())
+						nc = t.trueC
 						continue
 					}
-					nc = nc.Or(edge[EdgeKey{To: b, PredIdx: pi}])
+					nc = t.or(nc, edge[edgeBase[p]+pi])
 				}
-				if !Equal(reach[b], nc) {
-					reach[b] = nc
+				if reach[p] != nc {
+					reach[p] = nc
 					rchanged = true
 				}
 			}
@@ -229,52 +294,42 @@ func Analyze(f *ir.Func, r *ir.Region, forcedNonConst map[ir.Value]bool) (*Resul
 				return nil, fmt.Errorf("analysis: reachability did not converge")
 			}
 		}
-		res.BlockReach = reach
-		res.EdgeReach = edge
 
 		// --- Constant merges.
-		for _, b := range blocks {
+		for p, b := range blocks {
+			if loopHead[p] || ordinaryLoopHead[p] {
+				constMerge[p] = loopHead[p]
+				continue
+			}
 			cm := true
-			if loopHead[b] {
-				res.ConstMerge[b] = true
-				continue
-			}
-			if ordinaryLoopHead[b] {
-				res.ConstMerge[b] = false
-				continue
-			}
+			base := edgeBase[p]
 			for i := 0; i < len(b.Preds) && cm; i++ {
 				for j := i + 1; j < len(b.Preds) && cm; j++ {
-					ci := edge[EdgeKey{To: b, PredIdx: i}]
-					cj := edge[EdgeKey{To: b, PredIdx: j}]
 					if !inRegion(b.Preds[i]) || !inRegion(b.Preds[j]) {
 						cm = false
 						break
 					}
-					if !Exclusive(ci, cj) {
+					if !t.exclusive(edge[base+i], edge[base+j]) {
 						cm = false
 					}
 				}
 			}
-			if res.ConstMerge[b] != cm {
-				res.ConstMerge[b] = cm
+			if constMerge[p] != cm {
+				constMerge[p] = cm
 				changed = true
 			}
 		}
 
 		// --- Run-time constants pass (lower values per the flow rules).
-		for _, b := range blocks {
+		for p, b := range blocks {
 			for _, in := range b.Instrs {
-				if in.Dst == 0 || !res.Const[in.Dst] {
-					continue
-				}
-				if seeds[in.Dst] {
+				if in.Dst == 0 || !isConst[in.Dst] || seed[in.Dst] {
 					continue
 				}
 				ok := false
 				switch in.Op {
 				case ir.OpPhi:
-					ok = allConst(in.Args) && res.ConstMerge[b]
+					ok = allConst(in.Args) && constMerge[p]
 				case ir.OpLoad:
 					// Loads through run-time-constant pointers are constant
 					// (paper section 3.1) — but global variables cannot be
@@ -282,8 +337,15 @@ func Analyze(f *ir.Func, r *ir.Region, forcedNonConst map[ir.Value]bool) (*Resul
 					// a load whose address is rooted at a global is never a
 					// run-time constant. Constant global data is shared by
 					// passing an annotated pointer instead.
-					ok = !in.Dynamic && isConst(in.Args[0]) &&
-						!rootedAtGlobal(f, in.Args[0])
+					if a := in.Args[0]; !in.Dynamic && isConst[a] {
+						if rooted[a] == 0 {
+							rooted[a] = 1
+							if rootedAtGlobal(f, a) {
+								rooted[a] = 2
+							}
+						}
+						ok = rooted[a] == 1
+					}
 				case ir.OpCall:
 					bi := ir.Builtins[in.Sym]
 					ok = bi != nil && bi.Pure && allConst(in.Args)
@@ -296,21 +358,20 @@ func Analyze(f *ir.Func, r *ir.Region, forcedNonConst map[ir.Value]bool) (*Resul
 					ok = in.Op.IsPureNonTrapping() && allConst(in.Args)
 				}
 				if !ok {
-					res.Const[in.Dst] = false
+					isConst[in.Dst] = false
 					changed = true
 				}
 			}
 		}
 
 		// --- Constant branches.
-		for _, b := range blocks {
+		for p, b := range blocks {
 			term := b.Term()
 			if term == nil {
 				continue
 			}
-			c := res.constPredicate(term, isConst)
-			if res.ConstBranch[term] != c {
-				res.ConstBranch[term] = c
+			if c := constPredicate(term); constBranch[p] != c {
+				constBranch[p] = c
 				changed = true
 			}
 		}
@@ -319,17 +380,47 @@ func Analyze(f *ir.Func, r *ir.Region, forcedNonConst map[ir.Value]bool) (*Resul
 			break
 		}
 	}
+
+	res := &Result{
+		Region:      r,
+		Const:       make(map[ir.Value]bool, count(isConst)),
+		BlockReach:  make(map[*ir.Block]Cond, len(blocks)),
+		EdgeReach:   make(map[EdgeKey]Cond, len(edge)),
+		ConstMerge:  make(map[*ir.Block]bool, count(constMerge)),
+		ConstBranch: make(map[*ir.Instr]bool, count(constBranch)),
+	}
+	for v, c := range isConst {
+		if c {
+			res.Const[ir.Value(v)] = true
+		}
+	}
+	x := t.exporter()
+	for p, b := range blocks {
+		res.BlockReach[b] = x.cond(reach[p])
+		if constMerge[p] {
+			res.ConstMerge[b] = true
+		}
+		if constBranch[p] {
+			res.ConstBranch[b.Term()] = true
+		}
+		for ti, s := range b.Succs() {
+			if slot := targetSlot[targetBase[p]+ti]; slot >= 0 {
+				q := pos(s)
+				res.EdgeReach[EdgeKey{To: s, PredIdx: slot - edgeBase[q]}] = x.cond(edge[slot])
+			}
+		}
+	}
 	return res, nil
 }
 
-// constPredicate reports whether term is a branch whose predicate is a
-// run-time constant.
-func (res *Result) constPredicate(term *ir.Instr, isConst func(ir.Value) bool) bool {
-	switch term.Op {
-	case ir.OpBr, ir.OpSwitch:
-		return isConst(term.Args[0])
+func count(bs []bool) int {
+	n := 0
+	for _, b := range bs {
+		if b {
+			n++
+		}
 	}
-	return false
+	return n
 }
 
 // rootedAtGlobal reports whether the address computation of v involves a
@@ -359,39 +450,6 @@ func rootedAtGlobal(f *ir.Func, v ir.Value) bool {
 		return false
 	}
 	return walk(v, 0)
-}
-
-// stripLeftLoopAtoms removes, from cond, atoms whose branch lives in an
-// unrolled loop that the edge from -> to leaves.
-func stripLeftLoopAtoms(cond Cond, from, to *ir.Block) Cond {
-	var left []*ir.Loop
-	for _, l := range from.Loops {
-		if !to.InLoop(l) {
-			left = append(left, l)
-		}
-	}
-	if len(left) == 0 {
-		return cond
-	}
-	inLeft := func(b *ir.Block) bool {
-		for _, l := range left {
-			if b.InLoop(l) {
-				return true
-			}
-		}
-		return false
-	}
-	var out []Conj
-	for _, cj := range cond.Disj {
-		var n Conj
-		for _, a := range cj {
-			if !inLeft(a.Block) {
-				n = append(n, a)
-			}
-		}
-		out = append(out, n)
-	}
-	return Cond{Disj: out}.normalize()
 }
 
 // nthPredIndex returns the predecessor slot of the n-th occurrence of p in
