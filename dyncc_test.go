@@ -334,3 +334,38 @@ int scale(int s, int x) {
 		t.Errorf("invalidations: %d, want 1", got)
 	}
 }
+
+// A literal the optimizer folds into the region's last block and that is
+// used only after the region must keep its template definition: the
+// splitter's plan exempts such literals from demotion, so the strip step
+// must not drop them. (Generated corpus program: inlining and const-fold
+// turn the whole region into `v = const -14937`, returned after it.)
+func TestLiteralUsedOnlyAfterRegion(t *testing.T) {
+	src := `
+int h0(int p, int q) { return (p * (42 | p)); }
+int h1(int p, int q) { return (p | (-3 * p)); }
+int f(int *a, int n, int c, int x) {
+    int acc = 0;
+    acc = h1(39, x);
+    dynamicRegion key(c, n) (a) {
+        acc = acc ^ h0((2 + -1), n);
+        acc = acc ^ h0((-3 ^ acc), (acc - c));
+    }
+    return acc;
+}`
+	const want = -14937
+	if got := runI(t, mustStatic(t, src), "f", 0, 3, 5, 7); got != want {
+		t.Fatalf("static: f = %d, want %d", got, want)
+	}
+	p := mustDynamic(t, src)
+	m := p.NewMachine(0)
+	for i, args := range [][]int64{{0, 3, 5, 7}, {0, 3, 5, -2}, {0, 4, 9, 1}} {
+		v, err := m.Call("f", args...)
+		if err != nil {
+			t.Fatalf("call %d: %v", i, err)
+		}
+		if v != want {
+			t.Errorf("call %d: f%v = %d, want %d", i, args, v, want)
+		}
+	}
+}

@@ -93,15 +93,27 @@ func build(f *ir.Func, r *ir.Region, res *analysis.Result) (*Result, error) {
 
 	// ---- 4. Strip constant computations from template blocks; stats.
 	// Pass A: find the values used by instructions that survive in the
-	// templates, so literal constants they reference stay materialized.
-	usedInTemplate := map[ir.Value]bool{}
+	// templates or lie outside the region, so literal constants they
+	// reference stay materialized (plan exempts literals used outside the
+	// region from demotion because their template definition stays).
+	used := map[ir.Value]bool{}
 	for _, b := range regionRPO {
 		for _, in := range b.Instrs {
 			if in.Dst != 0 && res.Const[in.Dst] && !isLiteral(f, in.Dst) {
 				continue // will be stripped
 			}
 			for _, a := range in.Args {
-				usedInTemplate[a] = true
+				used[a] = true
+			}
+		}
+	}
+	for _, b := range f.Blocks {
+		if b.Region == r {
+			continue
+		}
+		for _, in := range b.Instrs {
+			for _, a := range in.Args {
+				used[a] = true
 			}
 		}
 	}
@@ -114,7 +126,7 @@ func build(f *ir.Func, r *ir.Region, res *analysis.Result) (*Result, error) {
 		for _, in := range b.Instrs {
 			if in.Dst != 0 && res.Const[in.Dst] {
 				if isLiteral(f, in.Dst) {
-					if usedInTemplate[in.Dst] {
+					if used[in.Dst] {
 						kept = append(kept, in)
 					}
 					continue
