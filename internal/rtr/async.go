@@ -247,6 +247,7 @@ func (rt *Runtime) runJob(job stitchJob) {
 
 	sh := rt.shardFor(job.region, job.key)
 	ck := e.key
+	reserved := err == nil && rt.reserveEntry(sh) // before the lock, as in stitchShared
 	sh.mu.Lock()
 	if err != nil {
 		sh.failedStitches++
@@ -272,14 +273,18 @@ func (rt *Runtime) runJob(job stitchJob) {
 			c.Restitches++
 		}
 	}
-	if e.gen != rt.gens[job.region].Load() || sh.entries[ck] != e {
-		// Invalidated (or explicitly flushed) while in flight: discard.
-		// Unlike the inline path there are no waiters to serve — fallback
-		// callers never block on the latch.
+	if !reserved || e.gen != rt.gens[job.region].Load() || sh.entries[ck] != e {
+		// Invalidated (or explicitly flushed) while in flight, or the
+		// cache is full of publishes in progress: discard. Unlike the
+		// inline path there are no waiters to serve — fallback callers
+		// never block on the latch.
 		if sh.entries[ck] == e {
 			delete(sh.entries, ck)
 		}
 		sh.mu.Unlock()
+		if reserved {
+			rt.releaseEntry()
+		}
 		rt.asyncDiscards.Add(1)
 		return
 	}

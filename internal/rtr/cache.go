@@ -319,6 +319,9 @@ func (rt *Runtime) stitchShared(m *vm.Machine, region int, key string,
 	e.seg, e.err = seg, err
 	close(e.done)
 
+	// Take the resident slot before the shard lock: reserveEntry may
+	// have to wait for other shards' locks to evict.
+	reserved := err == nil && rt.reserveEntry(sh)
 	sh.mu.Lock()
 	if err != nil {
 		sh.failedStitches++
@@ -343,14 +346,18 @@ func (rt *Runtime) stitchShared(m *vm.Machine, region int, key string,
 			c.Restitches++
 		}
 	}
-	if e.gen != rt.gens[region].Load() || sh.entries[ck] != e {
+	if !reserved || e.gen != rt.gens[region].Load() || sh.entries[ck] != e {
 		// The region was invalidated (or this key explicitly flushed)
-		// while we were stitching: serve the waiters — they began before
-		// the invalidation — but do not retain the segment.
+		// while we were stitching, or the cache is full of publishes in
+		// progress: serve the waiters — they began before the
+		// invalidation — but do not retain the segment.
 		if sh.entries[ck] == e {
 			delete(sh.entries, ck)
 		}
 		sh.mu.Unlock()
+		if reserved {
+			rt.releaseEntry()
+		}
 		return seg, stats, nil
 	}
 	rt.makeRoomLocked(sh, region, e.bytes)

@@ -5,11 +5,14 @@
 //
 // Resident accounting lives in runtime-global atomics (resident,
 // residentBytes and their per-region slices) so a publishing shard can
-// check the caps without touching any other shard's lock. Room is made
-// *before* a new entry is published: while over a cap, the publishing
-// shard evicts from its own ring; if its ring is empty (the only way a
-// publish cannot restore the bound locally) it steals an eviction from a
-// sibling shard via TryLock, which cannot deadlock. In-flight singleflight
+// check the caps without touching any other shard's lock. The entry cap is
+// hard: before taking its shard's lock, a publisher reserves a resident
+// slot with a compare-and-swap below MaxEntries, evicting (its own shard
+// first, then siblings in order, with blocking locks since it holds none)
+// while the cache is full. The byte and per-region caps are enforced under
+// the publishing shard's lock: it evicts from its own ring and, when that
+// is empty, steals from a sibling via TryLock, which cannot deadlock;
+// reclaim trims any overshoot after the publish. In-flight singleflight
 // entries never join a ring, so they are pinned by construction.
 package rtr
 
@@ -72,11 +75,11 @@ func (l *evictLog) remove(k cacheKey) bool {
 }
 
 // publishLocked makes a completed entry resident: it joins the shard's
-// CLOCK ring and the global and per-region resident counters.
+// CLOCK ring and the resident counters. Its global entry slot was taken
+// beforehand by reserveEntry.
 func (sh *shard) publishLocked(rt *Runtime, e *entry) {
 	e.slot = len(sh.ring)
 	sh.ring = append(sh.ring, e)
-	rt.resident.Add(1)
 	rt.residentBytes.Add(e.bytes)
 	// r >= 0: region -1 is a documented segment sentinel; an entry carrying
 	// it must not panic the accounting (it simply isn't tracked per region).
@@ -149,13 +152,51 @@ func (sh *shard) evictOneLocked(rt *Runtime, region int) bool {
 	return false
 }
 
-// overEntries / overBytes report whether publishing one more entry of
-// `add` bytes would leave the shared cache above a global cap.
-func (rt *Runtime) overEntries() bool {
-	max := rt.Opts.Cache.MaxEntries
-	return max > 0 && rt.resident.Load() >= int64(max)
+// reserveEntry takes one resident slot for an entry about to be published
+// into sh, evicting while the shared cache is at MaxEntries: from sh's
+// ring first, then from each sibling in shard order. The caller must hold
+// no shard lock. It reports false, reserving nothing, when the cache is
+// full and no shard holds an evictable entry (every slot is reserved by a
+// publish in progress); the caller then does not retain its entry. A
+// reservation is either consumed by publishLocked or returned with
+// releaseEntry.
+func (rt *Runtime) reserveEntry(sh *shard) bool {
+	max := int64(rt.Opts.Cache.MaxEntries)
+	for {
+		n := rt.resident.Load()
+		if max <= 0 || n < max {
+			if rt.resident.CompareAndSwap(n, n+1) {
+				return true
+			}
+			continue
+		}
+		if !rt.evictFrom(sh) {
+			return false
+		}
+	}
 }
 
+// evictFrom evicts one entry from any region, trying sh and then every
+// other shard in order, each under its own (blocking) lock.
+func (rt *Runtime) evictFrom(sh *shard) bool {
+	sh.mu.Lock()
+	ok := sh.evictOneLocked(rt, -1)
+	sh.mu.Unlock()
+	for i := 0; !ok && i < len(rt.shards); i++ {
+		if o := &rt.shards[i]; o != sh {
+			o.mu.Lock()
+			ok = o.evictOneLocked(rt, -1)
+			o.mu.Unlock()
+		}
+	}
+	return ok
+}
+
+// releaseEntry returns an unused reservation.
+func (rt *Runtime) releaseEntry() { rt.resident.Add(-1) }
+
+// overBytes reports whether publishing one more entry of `add` bytes would
+// leave the shared cache above the global byte cap.
 func (rt *Runtime) overBytes(add int64) bool {
 	max := rt.Opts.Cache.MaxCodeBytes
 	return max > 0 && rt.residentBytes.Load()+add > max
@@ -173,14 +214,15 @@ func (rt *Runtime) regionOverBytes(region int, add int64) bool {
 		rt.regionBytes[region].Load()+add > max
 }
 
-// makeRoomLocked evicts until the caps admit one more entry of `bytes`
-// code bytes for region. It runs with sh.mu held (the publishing shard) and
+// makeRoomLocked evicts until the byte and per-region caps admit one more
+// entry of `bytes` code bytes for region (the entry cap was settled by
+// reserveEntry). It runs with sh.mu held (the publishing shard) and
 // prefers local evictions; when the local ring cannot help it steals one
 // eviction at a time from sibling shards via TryLock (never blocking, so
 // never deadlocking). Per-region caps are enforced locally here and
 // cross-shard by reclaim after publish.
 func (rt *Runtime) makeRoomLocked(sh *shard, region int, bytes int64) {
-	for rt.overEntries() || rt.overBytes(bytes) {
+	for rt.overBytes(bytes) {
 		if sh.evictOneLocked(rt, -1) {
 			continue
 		}
@@ -216,20 +258,18 @@ func (rt *Runtime) stealEviction(sh *shard, region int) bool {
 	return false
 }
 
-// reclaim restores the caps after a publish, sweeping shards with full
-// locks (the caller holds none). It bounds the transient overshoot left
-// when makeRoomLocked could not evict — the publishing shard's ring was
-// empty and every sibling was mid-publish — to the duration of those
-// publishes.
+// reclaim restores the byte and per-region caps after a publish, sweeping
+// shards with full locks (the caller holds none). It bounds the transient
+// overshoot left when makeRoomLocked could not evict — the publishing
+// shard's ring was empty and every sibling was mid-publish — to the
+// duration of those publishes.
 func (rt *Runtime) reclaim(region int) {
 	c := &rt.Opts.Cache
-	if c.MaxEntries == 0 && c.MaxCodeBytes == 0 &&
-		c.MaxEntriesPerRegion == 0 && c.MaxCodeBytesPerRegion == 0 {
+	if c.MaxCodeBytes == 0 && c.MaxEntriesPerRegion == 0 && c.MaxCodeBytesPerRegion == 0 {
 		return
 	}
 	for pass := 0; pass < 2*len(rt.shards); pass++ {
-		overGlobal := rt.overBytes(0) ||
-			(c.MaxEntries > 0 && rt.resident.Load() > int64(c.MaxEntries))
+		overGlobal := rt.overBytes(0)
 		overRegion := rt.regionOverBytes(region, 0) ||
 			(c.MaxEntriesPerRegion > 0 && region >= 0 && region < len(rt.regionResident) &&
 				rt.regionResident[region].Load() > int64(c.MaxEntriesPerRegion))

@@ -3,6 +3,7 @@ package rtr
 import (
 	"errors"
 	"fmt"
+	"sync"
 	"testing"
 
 	"dyncc/internal/tmpl"
@@ -25,6 +26,9 @@ func addCompleted(rt *Runtime, region int, key string, seg *vm.Segment) *entry {
 	e := &entry{key: ck, gen: rt.gens[region].Load(),
 		done: make(chan struct{}), seg: seg, slot: -1}
 	close(e.done)
+	if !rt.reserveEntry(sh) {
+		panic("addCompleted: no resident slot")
+	}
 	sh.mu.Lock()
 	sh.entries[ck] = e
 	sh.publishLocked(rt, e)
@@ -280,5 +284,44 @@ func TestInvalidateKeyTargets(t *testing.T) {
 	}
 	if rt.lookupShared(0, encodeKey([]int64{7})) == nil {
 		t.Error("untouched key was dropped")
+	}
+}
+
+// TestEntryCapHardUnderConcurrentPublishers publishes from several
+// goroutines at once into a small multi-shard cache, the way the stitch
+// sites do: reserve a slot with no lock held, then publish under the
+// shard lock. The resident count, and so its peak, never exceeds
+// MaxEntries; a publisher that finds every slot reserved by the others
+// retains nothing.
+func TestEntryCapHardUnderConcurrentPublishers(t *testing.T) {
+	const capEntries, workers, perWorker = 4, 8, 300
+	rt := testRuntime(CacheOptions{Shards: 4, MaxEntries: capEntries}, 1)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < perWorker; i++ {
+				key := fmt.Sprintf("w%d-%d", w, i)
+				sh := rt.shardFor(0, key)
+				e := &entry{key: cacheKey{0, key}, done: make(chan struct{}),
+					seg: &vm.Segment{}, slot: -1}
+				close(e.done)
+				if !rt.reserveEntry(sh) {
+					continue
+				}
+				sh.mu.Lock()
+				sh.entries[e.key] = e
+				sh.publishLocked(rt, e)
+				sh.mu.Unlock()
+			}
+		}(w)
+	}
+	wg.Wait()
+	if peak := rt.peakEntries.Load(); peak > capEntries {
+		t.Errorf("peak resident entries %d exceed cap %d", peak, capEntries)
+	}
+	if n := rt.resident.Load(); n != capEntries {
+		t.Errorf("resident entries %d, want %d after %d publishes", n, capEntries, workers*perWorker)
 	}
 }

@@ -220,16 +220,20 @@ func (rt *Runtime) adoptStored(region int, e *entry, seg *vm.Segment) bool {
 	e.seg = seg
 	close(e.done)
 	sh := rt.shardFor(region, e.key.key)
+	reserved := rt.reserveEntry(sh) // before the lock, as in stitchShared
 	sh.mu.Lock()
 	e.bytes = int64(seg.MemFootprint())
 	// The key is resident again; forget any logged eviction without
 	// counting a restitch — nothing was stitched.
 	sh.evicted.remove(e.key)
-	if e.gen != rt.gens[region].Load() || sh.entries[e.key] != e {
+	if !reserved || e.gen != rt.gens[region].Load() || sh.entries[e.key] != e {
 		if sh.entries[e.key] == e {
 			delete(sh.entries, e.key)
 		}
 		sh.mu.Unlock()
+		if reserved {
+			rt.releaseEntry()
+		}
 		return false
 	}
 	rt.makeRoomLocked(sh, region, e.bytes)

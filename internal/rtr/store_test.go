@@ -371,6 +371,7 @@ func TestNegativeRegionAccounting(t *testing.T) {
 		bytes: 64, slot: -1}
 	close(e.done)
 
+	rt.reserveEntry(sh)
 	sh.mu.Lock()
 	sh.entries[ck] = e
 	sh.publishLocked(rt, e) // site 1: publish
