@@ -38,7 +38,8 @@ type Machine struct {
 	Insts   uint64
 	regions []RegionCounters
 
-	// MaxCycles aborts runaway executions.
+	// MaxCycles aborts runaway executions: it bounds the cycles one
+	// outermost Call may spend, not the machine's lifetime total.
 	MaxCycles uint64
 
 	Output io.Writer
@@ -68,6 +69,11 @@ type Machine struct {
 
 	hp     int64 // heap pointer (bump allocator)
 	frames []frame
+
+	// limit is the Cycles value at which the current outermost Call
+	// exhausts MaxCycles; depth counts the Calls in progress.
+	limit uint64
+	depth int
 }
 
 type frame struct {
@@ -84,11 +90,11 @@ func NewMachine(p *Program, memWords int) *Machine {
 	}
 	m := &Machine{
 		Prog:      p,
-		Mem:       make([]int64, memWords),
+		Mem:       make([]int64, memWords), // zeroed by make
 		MaxCycles: 200e9,
 		regions:   make([]RegionCounters, p.NumRegions),
 	}
-	m.Reset()
+	m.load()
 	return m
 }
 
@@ -98,9 +104,13 @@ func (m *Machine) Reset() {
 	if m.OnReset != nil {
 		m.OnReset(m)
 	}
-	for i := range m.Mem {
-		m.Mem[i] = 0
-	}
+	clear(m.Mem)
+	m.load()
+}
+
+// load installs the initial memory image over zeroed memory and clears
+// registers.
+func (m *Machine) load() {
 	copy(m.Mem, m.Prog.GlobalInit)
 	m.hp = int64(m.Prog.GlobalWords)
 	m.Regs = [NumRegs]int64{}
@@ -164,6 +174,14 @@ func (m *Machine) Call(name string, args ...int64) (int64, error) {
 	// pointer (and everything else except the result) is restored, so
 	// repeated calls do not leak stack space.
 	saved := m.Regs
+	if m.depth == 0 {
+		m.limit = m.Cycles + m.MaxCycles
+		if m.limit < m.Cycles {
+			m.limit = math.MaxUint64
+		}
+	}
+	m.depth++
+	defer func() { m.depth-- }()
 	v, err := m.run(m.Prog.Segs[id])
 	rv := m.Regs[RRV]
 	m.Regs = saved
@@ -334,7 +352,7 @@ func (m *Machine) run(seg *Segment) (int64, error) {
 		exact := false
 		if pc >= blkEnd {
 			b := &pl.blocks[pl.blockAt[pc]]
-			if m.Trace == nil && pc == int(b.start) && m.Cycles+b.cost+b.xtra <= m.MaxCycles {
+			if m.Trace == nil && pc == int(b.start) && m.Cycles+b.cost+b.xtra <= m.limit {
 				// Charge the whole straight-line block up front.
 				m.Insts += b.insts
 				m.Cycles += b.cost + b.xtra
@@ -386,7 +404,7 @@ func (m *Machine) run(seg *Segment) (int64, error) {
 				m.Region(int(e)).Invocations++
 			}
 			m.Cycles += c
-			if m.Cycles > m.MaxCycles {
+			if m.Cycles > m.limit {
 				return 0, vmErrorf(seg, pc, "cycle budget exhausted (%d)", m.MaxCycles)
 			}
 			if m.Trace != nil {

@@ -312,3 +312,33 @@ func TestCycleBudget(t *testing.T) {
 		t.Error("expected cycle-budget abort")
 	}
 }
+
+// The budget bounds each call, not the machine's lifetime: a long-lived
+// machine keeps serving calls whose total far exceeds MaxCycles, and one
+// runaway call on it still aborts.
+func TestCycleBudgetPerCall(t *testing.T) {
+	p := mustStatic(t, `
+int work(int n) { int s = 0; int i; for (i = 0; i < n; i++) { s = s + i * 3; } return s; }
+int spin() { for (;;) {} return 0; }`)
+	m := p.NewMachine(0)
+	m.m.MaxCycles = 5000
+	const n = 21
+	before := m.Cycles()
+	if _, err := m.Call("work", n); err != nil {
+		t.Fatal(err)
+	}
+	if per := m.Cycles() - before; per < 400 || per > 900 {
+		t.Fatalf("work(%d) takes %d cycles; the test wants about 600", n, per)
+	}
+	for i := 0; i < 20; i++ {
+		if got, err := m.Call("work", n); err != nil || got != 3*n*(n-1)/2 {
+			t.Fatalf("call %d: work(%d) = %d, %v", i+2, n, got, err)
+		}
+	}
+	if _, err := m.Call("spin"); err == nil {
+		t.Error("expected cycle-budget abort for a runaway call")
+	}
+	if _, err := m.Call("work", n); err != nil {
+		t.Errorf("call after the aborted one: %v", err)
+	}
+}
