@@ -394,9 +394,9 @@ func Analyze(f *ir.Func, r *ir.Region, forcedNonConst map[ir.Value]bool) (*Resul
 			res.Const[ir.Value(v)] = true
 		}
 	}
-	x := t.exporter()
+	exported := t.export(conds) // reach, then edge
 	for p, b := range blocks {
-		res.BlockReach[b] = x.cond(reach[p])
+		res.BlockReach[b] = exported[p]
 		if constMerge[p] {
 			res.ConstMerge[b] = true
 		}
@@ -406,7 +406,7 @@ func Analyze(f *ir.Func, r *ir.Region, forcedNonConst map[ir.Value]bool) (*Resul
 		for ti, s := range b.Succs() {
 			if slot := targetSlot[targetBase[p]+ti]; slot >= 0 {
 				q := pos(s)
-				res.EdgeReach[EdgeKey{To: s, PredIdx: slot - edgeBase[q]}] = x.cond(edge[slot])
+				res.EdgeReach[EdgeKey{To: s, PredIdx: slot - edgeBase[q]}] = exported[nblk+slot]
 			}
 		}
 	}

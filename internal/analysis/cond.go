@@ -481,57 +481,51 @@ func (t *condTable) inLeftLoop(b *ir.Block) bool {
 	return false
 }
 
-// exporter converts interned conditions to Cond, building each condition
-// and conjunction once so equal conditions share storage, and carving them
-// from slabs rather than allocating each.
-type exporter struct {
-	t     *condTable
-	conds []Cond
-	done  []bool
-	conjs []Conj
-	atoms []Atom // slab for conjunctions
-	disj  []Conj // slab for disjunctions
-}
-
-func (t *condTable) exporter() *exporter {
-	return &exporter{t: t, conds: make([]Cond, t.conds.len()), done: make([]bool, t.conds.len()),
-		conjs: make([]Conj, t.conjs.len())}
-}
-
-const exportSlab = 64
-
-func (e *exporter) cond(c uint32) Cond {
-	if e.done[c] {
-		return e.conds[c]
-	}
-	ids := e.t.conds.seq(c)
-	var out Cond
-	if len(ids) > 0 {
-		if cap(e.disj)-len(e.disj) < len(ids) {
-			e.disj = make([]Conj, 0, max(exportSlab, len(ids)))
+// export converts conditions ids to Cond, in order. Equal conditions share
+// one Cond and equal conjunctions one Conj, carved from two slabs sized
+// exactly: the Result holding them lives as long as the compiled program.
+func (t *condTable) export(ids []uint32) []Cond {
+	seenCond := make([]bool, t.conds.len())
+	seenConj := make([]bool, t.conjs.len())
+	ndisj, natoms := 0, 0
+	for _, c := range ids {
+		if seenCond[c] {
+			continue
 		}
-		start := len(e.disj)
-		for _, cj := range ids {
-			e.disj = append(e.disj, e.conj(cj))
+		seenCond[c] = true
+		for _, cj := range t.conds.seq(c) {
+			ndisj++
+			if !seenConj[cj] {
+				seenConj[cj] = true
+				natoms += len(t.conjs.seq(cj))
+			}
 		}
-		out.Disj = e.disj[start:len(e.disj):len(e.disj)]
 	}
-	e.conds[c], e.done[c] = out, true
+	disj := make([]Conj, 0, ndisj)
+	atoms := make([]Atom, 0, natoms)
+	conjs := make([]Conj, t.conjs.len())
+	conds := make([]Cond, t.conds.len())
+	clear(seenCond)
+	out := make([]Cond, len(ids))
+	for i, c := range ids {
+		if !seenCond[c] {
+			seenCond[c] = true
+			start := len(disj)
+			for _, cj := range t.conds.seq(c) {
+				if conjs[cj] == nil {
+					k := len(atoms)
+					for _, a := range t.conjs.seq(cj) {
+						atoms = append(atoms, t.atoms[a])
+					}
+					conjs[cj] = atoms[k:len(atoms):len(atoms)]
+				}
+				disj = append(disj, conjs[cj])
+			}
+			if len(disj) > start {
+				conds[c] = Cond{Disj: disj[start:len(disj):len(disj)]}
+			}
+		}
+		out[i] = conds[c]
+	}
 	return out
-}
-
-func (e *exporter) conj(cj uint32) Conj {
-	if e.conjs[cj] != nil {
-		return e.conjs[cj]
-	}
-	ids := e.t.conjs.seq(cj)
-	if cap(e.atoms)-len(e.atoms) < len(ids) || len(ids) == 0 && e.atoms == nil {
-		e.atoms = make([]Atom, 0, max(exportSlab, len(ids)))
-	}
-	start := len(e.atoms)
-	for _, a := range ids {
-		e.atoms = append(e.atoms, e.t.atoms[a])
-	}
-	e.conjs[cj] = e.atoms[start:len(e.atoms):len(e.atoms)]
-	return e.conjs[cj]
 }

@@ -49,7 +49,7 @@ func (h condHarness) conj(atoms ...uint32) uint32 {
 	return c
 }
 
-func (h condHarness) export(c uint32) Cond { return h.t.exporter().cond(c) }
+func (h condHarness) export(c uint32) Cond { return h.t.export([]uint32{c})[0] }
 
 func (h condHarness) str(c uint32) string { return h.export(c).String() }
 

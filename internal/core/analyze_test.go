@@ -80,8 +80,8 @@ func BenchmarkAnalyze(b *testing.B) {
 // 14 491 (dispatcher) and 2 374 (calls) allocations.
 func TestAnalyzeAllocs(t *testing.T) {
 	bound := map[string]float64{
-		"dispatcher": 1.5 * 66,
-		"calls":      1.5 * 57,
+		"dispatcher": 1.5 * 68,
+		"calls":      1.5 * 59,
 	}
 	for _, s := range analyzeSubjects(t) {
 		n := testing.AllocsPerRun(20, func() {

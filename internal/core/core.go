@@ -120,10 +120,27 @@ func inlineEnabled(cfg Config) bool {
 // let cached test results mask a check-passes run.
 func verifyAllEnv() bool { return os.Getenv("DYNCC_VERIFY_ALL") != "" }
 
-// newPipeline registers the static compiler's passes for cfg. The
-// optimizer's sub-passes form a fixpoint group — iterated in order until a
-// round changes nothing, each independently disableable.
+// newPipeline registers the static compiler's passes for cfg: the front
+// end, then split, codegen and stencil.
 func newPipeline(cfg Config) *pipeline.Manager {
+	mgr := newFrontEnd(cfg)
+	mgr.Register(passSplit{})
+	// Static-code fusion rides the optimizer switch; the stitcher's NoFuse
+	// ablation turns it off everywhere at once so fused-vs-unfused
+	// differential runs compare whole configurations.
+	mgr.Register(passCodegen{noFuse: cfg.Stitcher.NoFuse || !cfg.Optimize})
+	// Stencil precompilation serves the dynamic compiler, not the static
+	// code; it is optional so `-disable-pass stencil` can ablate the
+	// stitcher back to its interpretive path.
+	mgr.RegisterOptional(passStencil{})
+	return mgr
+}
+
+// newFrontEnd registers the passes that produce the SSA module split
+// analyzes: parse through the optimizer. The optimizer's sub-passes form a
+// fixpoint group — iterated in order until a round changes nothing, each
+// independently disableable.
+func newFrontEnd(cfg Config) *pipeline.Manager {
 	mgr := pipeline.New()
 	mgr.Register(passParse{})
 	// Automatic region promotion rewrites the AST before lowering; optional
@@ -152,15 +169,6 @@ func newPipeline(cfg Config) *pipeline.Manager {
 	if cfg.Optimize {
 		mgr.RegisterFixpoint("optimize", opt.MaxRounds, optPasses()...)
 	}
-	mgr.Register(passSplit{})
-	// Static-code fusion rides the optimizer switch; the stitcher's NoFuse
-	// ablation turns it off everywhere at once so fused-vs-unfused
-	// differential runs compare whole configurations.
-	mgr.Register(passCodegen{noFuse: cfg.Stitcher.NoFuse || !cfg.Optimize})
-	// Stencil precompilation serves the dynamic compiler, not the static
-	// code; it is optional so `-disable-pass stencil` can ablate the
-	// stitcher back to its interpretive path.
-	mgr.RegisterOptional(passStencil{})
 	return mgr
 }
 

@@ -2,24 +2,15 @@ package core
 
 import (
 	"dyncc/internal/ir"
-	"dyncc/internal/opt"
 	"dyncc/internal/pipeline"
 )
 
-// PreSplitModule runs cfg's pipeline up to, not including, split: parse,
-// lower, ssa, inline and the optimize fixpoint, as newPipeline orders them.
-// The result is the SSA module whose regions split.Split analyzes.
+// PreSplitModule runs cfg's front end (parse through the optimizer) and
+// returns the SSA module whose regions split.Split analyzes.
 func PreSplitModule(src string, cfg Config) (*ir.Module, error) {
-	mgr := pipeline.New()
-	mgr.Register(passParse{})
-	mgr.Register(passLower{})
-	mgr.Register(passSSA{})
-	if inlineEnabled(cfg) {
-		b := effectiveInlineBudget(cfg.InlineBudget)
-		mgr.Register(passInline{enabled: true, budget: b})
-	}
-	if cfg.Optimize {
-		mgr.RegisterFixpoint("optimize", opt.MaxRounds, optPasses()...)
+	mgr := newFrontEnd(cfg)
+	if err := mgr.Disable(cfg.DisablePasses); err != nil {
+		return nil, err
 	}
 	ctx := &pipeline.Context{Src: src, Dynamic: cfg.Dynamic}
 	if err := mgr.Run(ctx); err != nil {
