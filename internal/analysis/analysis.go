@@ -173,10 +173,8 @@ func Analyze(f *ir.Func, r *ir.Region, forcedNonConst map[ir.Value]bool) (*Resul
 			}
 		}
 	}
-	for v, s := range seed {
-		if s {
-			isConst[v] = true
-		}
+	for _, v := range r.Consts {
+		isConst[v] = true
 	}
 	// Compile-time literal constants are a special case of run-time
 	// constants (paper section 3.1 footnote): a literal defined before the

@@ -141,7 +141,7 @@ func (s *seqSet) grow() {
 // condTable holds the reachability conditions of one Analyze call as
 // interned IDs. Atoms are numbered densely in (block ID, successor) order,
 // so a conjunction is a sorted atom-ID list; conjunctions and conditions are
-// hash-consed, so equal ones share an ID and Equal is an integer compare.
+// hash-consed, so equal ones share an ID and equality is an integer compare.
 // Every operation works in the table's scratch buffers and allocates only
 // when an arena or the intern index grows.
 type condTable struct {
