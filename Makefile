@@ -1,14 +1,16 @@
 GO ?= go
 
-.PHONY: all check check-passes race fuzz bench bench-host bench-cache bench-async bench-compile bench-stitch bench-serve bench-cold bench-auto bench-inline table2 clean
+.PHONY: all check check-passes race fuzz bench bench-host bench-cache bench-async bench-compile bench-serve bench-cold bench-auto bench-inline table2 clean
 
 all: check
 
-# Tier 1: everything builds, gofmt and vet are clean, the full suite
-# passes (including the stencil ablation in the pass sweep), the
-# cache/eviction/async-stitch machinery and the stencil/interpretive
-# stitch differential pass under the race detector (fast enough for every
-# check run; `race` still covers the whole tree), batch compilation gets a
+# Tier 1: everything builds, gofmt and vet are clean (the separate
+# perfbench module included, so a public-API edit that would break the
+# benchmark fails here), the full suite passes, the
+# cache/eviction/async-stitch machinery and the fixed-seed differential
+# sweep (inline and background stitching against the reference) pass
+# under the race detector (fast enough for every check run; `race` still
+# covers the whole tree), batch compilation gets a
 # race-enabled Compile/CompileBatch stress run, a fixed-seed differential
 # sweep smoke and a short race-enabled serving run, a race-enabled
 # automatic-promotion sweep smoke (annotation-stripped programs promoting,
@@ -26,9 +28,10 @@ check:
 	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then \
 		echo "gofmt: these files need formatting:"; echo "$$out"; exit 1; fi
 	$(GO) vet ./...
+	GOWORK=off $(GO) -C perfbench vet ./...
 	$(GO) test ./...
 	$(GO) test -race -timeout 120s ./internal/rtr
-	$(GO) test -race -short -timeout 120s -run 'TestStencil' ./internal/testgen
+	$(GO) test -race -short -timeout 120s -run 'TestDifferentialFixedSeeds' ./internal/testgen
 	$(GO) test -race -timeout 120s -run 'TestPersistentStoreRoundTrip' .
 	$(GO) test -race -short -timeout 120s -run 'TestStoreFixedSeeds' ./internal/testgen
 	$(GO) test -race -short -timeout 180s -run 'TestCompileBatch|TestCompileRaceBatchVsSerial' ./internal/core
@@ -83,12 +86,6 @@ bench-async:
 # written to BENCH_5.json.
 bench-compile:
 	$(GO) run ./cmd/dynbench -compiletime -json BENCH_5.json
-
-# Stitcher emission paths: Go benchmarks (stencil vs interpretive, full and
-# dry stitches) plus the machine-readable comparison in BENCH_6.json.
-bench-stitch:
-	$(GO) test -run '^$$' -bench Stitch -count=5 ./internal/stitcher
-	$(GO) run ./cmd/dynbench -stitchperf -json BENCH_6.json
 
 # Multi-tenant serving: the tenant fleet batch-compiled through
 # CompileBatch (timed against serial compilation, byte-identity checked)

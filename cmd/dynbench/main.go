@@ -26,12 +26,6 @@
 //
 //	dynbench -asyncstitch -json BENCH_4.json
 //
-// -stitchperf compares the stitcher's two emission paths — precompiled
-// copy-and-patch stencils versus the interpretive template walk
-// (`-disable-pass stencil`) — on a stitch-heavy keyed region:
-//
-//	dynbench -stitchperf -json BENCH_6.json
-//
 // -serve runs the multi-tenant serving benchmark: a testgen-generated
 // fleet of tenant programs batch-compiled through CompileBatch (timed
 // against serial compilation, byte-identity checked), then served with
@@ -80,7 +74,6 @@ type jsonConfig struct {
 	Parallel     int    `json:"parallel,omitempty"`
 	ChurnCap     int    `json:"churn_cap,omitempty"`
 	ChurnKeys    int    `json:"churn_keys,omitempty"`
-	StitchIter   int    `json:"stitch_iters,omitempty"`
 	CTIters      int    `json:"ct_iters,omitempty"`
 	HostDur      string `json:"host_dur,omitempty"`
 	Tenants      int    `json:"tenants,omitempty"`
@@ -102,7 +95,6 @@ type jsonResults struct {
 	CacheChurn     *bench.ChurnResult       `json:"cache_churn,omitempty"`
 	CompileTime    *bench.CompileTimeResult `json:"compile_time,omitempty"`
 	ColdBurst      *bench.ColdBurstResult   `json:"cold_burst,omitempty"`
-	StitchPerf     *bench.StitchPerfResult  `json:"stitch_perf,omitempty"`
 	Serve          *bench.ServeResult       `json:"serve,omitempty"`
 	ColdStart      *bench.ColdStartResult   `json:"cold_start,omitempty"`
 	AutoRegion     *bench.AutoRegionResult  `json:"auto_region,omitempty"`
@@ -151,8 +143,6 @@ func main() {
 	parallel := flag.Int("parallel", 0, "run the parallel-machines sweep up to N machines")
 	cachechurn := flag.Bool("cachechurn", false, "run the bounded-cache churn benchmark (Zipf keys over a keyed region)")
 	asyncstitch := flag.Bool("asyncstitch", false, "run the cold-burst latency comparison (inline vs background stitching)")
-	stitchperf := flag.Bool("stitchperf", false, "compare stencil vs interpretive stitch cost on a stitch-heavy region")
-	spIters := flag.Int("stitchiters", 0, "stitches per subject for -stitchperf (0 = default 20000)")
 	compiletime := flag.Bool("compiletime", false, "measure per-pass static compile latency over the example corpus")
 	ctIters := flag.Int("ctiters", 0, "compiles per program for -compiletime (0 = default 30)")
 	churnCap := flag.Int("churncap", 0, "cache cap (MaxEntries) for -cachechurn (0 = default 256)")
@@ -265,18 +255,6 @@ func main() {
 		}
 		fmt.Println("Cold burst: caller-visible latency, inline vs background stitching")
 		bench.PrintColdBurst(os.Stdout, results.ColdBurst)
-		fmt.Println()
-	}
-
-	if *stitchperf {
-		modes = append(modes, "stitchperf")
-		cfgRec.StitchIter = *spIters
-		results.StitchPerf, err = bench.StitchPerf(*spIters)
-		if err != nil {
-			fail(err)
-		}
-		fmt.Println("Stitch perf: copy-and-patch stencils vs interpretive stitching")
-		bench.PrintStitchPerf(os.Stdout, results.StitchPerf)
 		fmt.Println()
 	}
 

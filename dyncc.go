@@ -466,9 +466,10 @@ type RuntimeCacheStats struct {
 
 	Stitches       uint64
 	FailedStitches uint64
-	// StencilStitches counts successful stitches that ran on the
-	// precompiled copy-and-patch fast path; the rest took the interpretive
-	// fallback (nonzero under `-disable-pass stencil`).
+	// StencilStitches is always 0. The copy-and-patch stencil emission
+	// path it counted was removed, and every stitch now runs the one
+	// interpretive stitcher. The field stays so existing readers of
+	// RuntimeCacheStats keep compiling.
 	StencilStitches uint64
 
 	Evictions     uint64
@@ -525,7 +526,6 @@ func (p *Program) CacheStats() RuntimeCacheStats {
 		Misses:          cs.Misses,
 		Stitches:        cs.Stitches,
 		FailedStitches:  cs.FailedStitches,
-		StencilStitches: cs.StencilStitches,
 		Evictions:       cs.Evictions,
 		Restitches:      cs.Restitches,
 		Invalidations:   cs.Invalidations,

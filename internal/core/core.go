@@ -121,7 +121,7 @@ func inlineEnabled(cfg Config) bool {
 func verifyAllEnv() bool { return os.Getenv("DYNCC_VERIFY_ALL") != "" }
 
 // newPipeline registers the static compiler's passes for cfg: the front
-// end, then split, codegen and stencil.
+// end, then split and codegen.
 func newPipeline(cfg Config) *pipeline.Manager {
 	mgr := newFrontEnd(cfg)
 	mgr.Register(passSplit{})
@@ -129,10 +129,6 @@ func newPipeline(cfg Config) *pipeline.Manager {
 	// ablation turns it off everywhere at once so fused-vs-unfused
 	// differential runs compare whole configurations.
 	mgr.Register(passCodegen{noFuse: cfg.Stitcher.NoFuse || !cfg.Optimize})
-	// Stencil precompilation serves the dynamic compiler, not the static
-	// code; it is optional so `-disable-pass stencil` can ablate the
-	// stitcher back to its interpretive path.
-	mgr.RegisterOptional(passStencil{})
 	return mgr
 }
 
@@ -250,14 +246,10 @@ func (c *Compiled) PassStat(name string) pipeline.PassStat {
 // VM set-up + table indirection, which is the point of section 7).
 const mergedSetupCostPerStep = 2
 
-// makeSetupFn builds the host-side set-up evaluator for one region: it
-// reads the set-up subgraph's inputs out of the live machine (registers or
-// spill slots), interprets the subgraph directly against machine memory,
-// and returns the run-time constants table base.
-func makeSetupFn(mod *ir.Module, f *ir.Func, sr *split.Result,
-	alloc *regalloc.Allocation) func(m *vm.Machine) (int64, uint64, error) {
-
-	// Values read by set-up code but defined outside it.
+// setupInputs returns the values region sr's set-up code reads but does
+// not define, in first-use order over f's blocks. Both set-up evaluators
+// bind exactly these values before interpreting the set-up subgraph.
+func setupInputs(f *ir.Func, sr *split.Result) []ir.Value {
 	defined := map[ir.Value]bool{}
 	for _, b := range f.Blocks {
 		if !b.Setup || b.Region != sr.Region {
@@ -284,7 +276,17 @@ func makeSetupFn(mod *ir.Module, f *ir.Func, sr *split.Result,
 			}
 		}
 	}
+	return inputs
+}
 
+// makeSetupFn builds the host-side set-up evaluator for one region: it
+// reads the set-up subgraph's inputs out of the live machine (registers or
+// spill slots), interprets the subgraph directly against machine memory,
+// and returns the run-time constants table base.
+func makeSetupFn(mod *ir.Module, f *ir.Func, sr *split.Result,
+	alloc *regalloc.Allocation) func(m *vm.Machine) (int64, uint64, error) {
+
+	inputs := setupInputs(f, sr)
 	return func(m *vm.Machine) (int64, uint64, error) {
 		env := &ir.InterpEnv{
 			Mod:          mod,
@@ -333,34 +335,7 @@ const (
 func makeKeySetupFn(mod *ir.Module, f *ir.Func, r *ir.Region,
 	sr *split.Result) func(keyVals []int64) ([]int64, int64, error) {
 
-	// Values read by set-up code but defined outside it (the same
-	// computation as makeSetupFn).
-	defined := map[ir.Value]bool{}
-	for _, b := range f.Blocks {
-		if !b.Setup || b.Region != sr.Region {
-			continue
-		}
-		for _, in := range b.Instrs {
-			if in.Dst != 0 {
-				defined[in.Dst] = true
-			}
-		}
-	}
-	var inputs []ir.Value
-	seen := map[ir.Value]bool{}
-	for _, b := range f.Blocks {
-		if !b.Setup || b.Region != sr.Region {
-			continue
-		}
-		for _, in := range b.Instrs {
-			for _, a := range in.Args {
-				if !defined[a] && !seen[a] {
-					seen[a] = true
-					inputs = append(inputs, a)
-				}
-			}
-		}
-	}
+	inputs := setupInputs(f, sr)
 
 	// Bind every input at build time: keys positionally, constants by
 	// evaluating their defining instruction.

@@ -8,7 +8,6 @@ import (
 	"dyncc/internal/parser"
 	"dyncc/internal/pipeline"
 	"dyncc/internal/split"
-	"dyncc/internal/stencil"
 )
 
 // The static compiler's passes. Each is a thin pipeline.Pass adapter over
@@ -127,23 +126,5 @@ func (p passCodegen) Run(ctx *pipeline.Context) error {
 		return err
 	}
 	ctx.Output = out
-	return nil
-}
-
-// passStencil precompiles each region's templates into their copy-and-patch
-// form (internal/stencil), consumed by the stitcher's fast path. Optional:
-// disabling it (-disable-pass stencil) is the interpretive-stitcher
-// ablation baseline — stitched segments are byte-identical either way, only
-// stitch-time cost changes. It rewrites codegen output, not the IR, so no
-// verification is interposed.
-type passStencil struct{}
-
-func (passStencil) Name() string { return "stencil" }
-
-func (passStencil) Run(ctx *pipeline.Context) error {
-	if ctx.Output == nil {
-		return nil
-	}
-	ctx.NoteChanges(stencil.Precompile(ctx.Output.Regions))
 	return nil
 }

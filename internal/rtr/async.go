@@ -259,7 +259,6 @@ func (rt *Runtime) runJob(job stitchJob) {
 	}
 	rt.asyncStitches.Add(1)
 	sh.stitches++
-	rt.countStencil(stats)
 	sh.addStatsLocked(job.region, stats)
 	e.bytes = int64(seg.MemFootprint())
 	restitch := sh.evicted.remove(ck)

@@ -14,8 +14,8 @@ import (
 // N machines hammer a keyed region whose key cardinality (64) exceeds
 // MaxEntries (8), in both stitch modes. Results must stay correct
 // throughout, the resident-entry count must never exceed the cap (Shards:1
-// makes the bound strict), and the lookup-accounting invariant must hold
-// under full concurrency.
+// makes the bound strict), the lookup-accounting invariant must hold
+// under full concurrency, and churn must force re-stitches.
 func TestEvictionBoundedUnderRace(t *testing.T) {
 	const (
 		machines = 4
@@ -68,7 +68,20 @@ func TestEvictionBoundedUnderRace(t *testing.T) {
 					t.Fatalf("machine %d: %v", i, err)
 				}
 			}
-			c.Runtime.WaitIdle()
+			// On a loaded host the background workers can fall behind the
+			// concurrent phase so far that every key is stitched only once.
+			// One machine sweeping the key space twice, waiting for each
+			// stitch to publish, makes the cap evict every key before its
+			// second visit whatever happened above.
+			m := c.NewMachine(0)
+			for sweep := 0; sweep < 2; sweep++ {
+				for s := int64(1); s <= keyCard; s++ {
+					if got, err := m.Call("scale", s, 3); err != nil || got != 3*s {
+						t.Fatalf("sweep %d: scale(%d,3) = %d, %v", sweep, s, got, err)
+					}
+					c.Runtime.WaitIdle()
+				}
+			}
 
 			cs := c.Runtime.CacheStats()
 			if cs.PeakEntries > cap {

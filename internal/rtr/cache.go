@@ -332,7 +332,6 @@ func (rt *Runtime) stitchShared(m *vm.Machine, region int, key string,
 		return seg, stats, err
 	}
 	sh.stitches++
-	rt.countStencil(stats)
 	sh.addStatsLocked(region, stats)
 	e.bytes = int64(seg.MemFootprint())
 	restitch := sh.evicted.remove(ck)

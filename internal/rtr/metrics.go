@@ -31,12 +31,6 @@ type CacheStats struct {
 	// would have silently decremented it.
 	Stitches       uint64
 	FailedStitches uint64
-	// StencilStitches counts successful stitches that ran on the
-	// copy-and-patch fast path (inline, singleflighted and background
-	// alike). Stitches - StencilStitches ran the interpretive fallback —
-	// nonzero when `-disable-pass stencil` is set or a region declined
-	// precompilation.
-	StencilStitches uint64
 
 	// Churn and lifecycle.
 	Evictions     uint64 // capacity evictions from the shared cache
@@ -139,7 +133,6 @@ func (rt *Runtime) CacheStats() CacheStats {
 		sh.mu.Unlock()
 	}
 	cs.Stitches += rt.privateStitches.Load()
-	cs.StencilStitches = rt.stencilStitches.Load()
 	cs.Invalidations = rt.invalidations.Load()
 	cs.L2Evictions = rt.l2Evictions.Load()
 	cs.EntriesResident = uint64(rt.resident.Load())

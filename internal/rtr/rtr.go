@@ -121,11 +121,6 @@ type Runtime struct {
 	privateStitches atomic.Uint64
 	invalidations   atomic.Uint64
 	l2Evictions     atomic.Uint64
-	// stencilStitches counts stitches — inline, singleflighted, or
-	// background — that ran on the stitcher's copy-and-patch fast path
-	// (region had a precompiled stencil). Stitches minus StencilStitches
-	// is the interpretive-fallback count.
-	stencilStitches atomic.Uint64
 
 	// Asynchronous stitching state (see async.go). jobs and quit are nil
 	// unless CacheOptions.AsyncStitch is set; everything here is inert
@@ -592,7 +587,6 @@ func (rt *Runtime) stitchNow(m *vm.Machine, ms *machineState, region int,
 		}
 		if err == nil {
 			rt.privateStitches.Add(1)
-			rt.countStencil(stats)
 			rt.recordStats(region, key, stats)
 		}
 	}
@@ -611,15 +605,6 @@ func (rt *Runtime) stitchNow(m *vm.Machine, ms *machineState, region int,
 		m.Cycles += stats.CyclesModeled
 	}
 	return seg, nil
-}
-
-// countStencil tallies which emission path a successful stitch ran on;
-// called at every stitch site (inline private, singleflight winner,
-// background worker) so CacheStats.StencilStitches covers all tiers.
-func (rt *Runtime) countStencil(stats *stitcher.Stats) {
-	if stats != nil && stats.StencilPath {
-		rt.stencilStitches.Add(1)
-	}
 }
 
 // keepStitched retains seg for diagnostics. Dedup is a set membership test

@@ -211,11 +211,11 @@ func (rt *Runtime) runStoreOp(op storeOp) {
 // adoptStored publishes a store-loaded segment into the shared cache under
 // the caller's singleflight entry, with the same generation fencing as a
 // real stitch. It mirrors the publish tail of stitchShared/runJob minus
-// everything stitch-specific: no Stitches/StencilStitches counting, no
-// stitcher statistics, no machine cost — adoption is free, like a
-// shared-cache hit. Reports whether the entry was retained (false: the
-// region was invalidated while loading; the segment is still valid for the
-// waiters of this attempt, which began before the invalidation).
+// everything stitch-specific: no Stitches counting, no stitcher
+// statistics, no machine cost — adoption is free, like a shared-cache hit.
+// Reports whether the entry was retained (false: the region was
+// invalidated while loading; the segment is still valid for the waiters of
+// this attempt, which began before the invalidation).
 func (rt *Runtime) adoptStored(region int, e *entry, seg *vm.Segment) bool {
 	e.seg = seg
 	close(e.done)

@@ -7,23 +7,11 @@
 // linearized table for large and non-integer constants, and applying
 // peephole strength reduction that exploits the actual constant values.
 //
-// The stitcher has two emission paths producing byte-identical segments:
-//
-//   - The stencil fast path (fast.go) consumes the copy-and-patch stencils
-//     the `stencil` pipeline pass precompiled into each region: block
-//     bodies are bulk-copied between patch points and every hole, loop
-//     transition and terminator follows a precomputed descriptor. Warm, it
-//     performs no allocation until the finished segment is materialized.
-//   - The interpretive path (this file) walks the raw template structure,
-//     re-deriving loop chains and hole positions per emission. It is the
-//     semantic reference, the `-disable-pass stencil` ablation baseline,
-//     and the fallback for regions without stencils (hand-built test
-//     regions, or builds with the pass disabled).
-//
-// Both paths share the record-context representation (dense per-loop
-// windows bump-allocated from an arena), the integer-keyed emission memo
-// table, the value-dependent patch logic, and the post-emission cleanup
-// passes, which is what makes byte-for-byte equality hold by construction.
+// Emission walks the template structure directly. Record contexts are
+// dense per-loop windows bump-allocated from an arena, block emissions are
+// memoized in an integer-keyed table, and every buffer lives in pooled
+// scratch, so a warm stitch performs no allocation until the finished
+// segment is materialized.
 package stitcher
 
 import (
@@ -60,10 +48,6 @@ type Stats struct {
 	StoresPromoted     int
 	CyclesModeled      uint64
 	Fusion             vm.FuseStats // post-stitch superinstruction fusion
-	// StencilPath records whether this stitch ran on the precompiled
-	// copy-and-patch fast path (false: interpretive fallback). The two
-	// paths produce byte-identical segments and identical counters above.
-	StencilPath bool
 }
 
 // Modeled cycle costs of stitcher work, charged per action. The stitcher
@@ -100,11 +84,9 @@ var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
 // Stitch instantiates region's templates against the run-time constants
 // table at tableBase in mem, producing an executable segment whose exits
-// XFER back into parent. When the region carries a precompiled stencil the
-// copy-and-patch fast path is used; otherwise the interpretive path.
-// Stitch is safe to call concurrently (the runtime singleflights
-// concurrent stitches of the same specialization, but distinct
-// specializations may stitch in parallel).
+// XFER back into parent. Stitch is safe to call concurrently (the runtime
+// singleflights concurrent stitches of the same specialization, but
+// distinct specializations may stitch in parallel).
 func Stitch(region *tmpl.Region, mem []int64, tableBase int64,
 	parent *vm.Segment, opts Options) (*vm.Segment, *Stats, error) {
 
@@ -123,10 +105,9 @@ func Stitch(region *tmpl.Region, mem []int64, tableBase int64,
 
 // DryStitch runs the full emission pipeline — block walk, hole patching,
 // branch resolution, loop unrolling, peephole cleanup — without
-// materializing a segment. It exists for benchmarks and the allocation
-// accounting in bench.StitchPerf: on warm scratch the stencil path's dry
-// stitch is allocation-free, so DryStitch isolates emission cost from the
-// unavoidable segment/fusion allocations of a real stitch.
+// materializing a segment. It isolates emission cost from the segment and
+// fusion allocations of a real stitch for BenchmarkDryStitch and
+// TestStitchWarmZeroAllocs; on warm scratch it is allocation-free.
 func DryStitch(region *tmpl.Region, mem []int64, tableBase int64,
 	opts Options) (Stats, error) {
 
@@ -145,7 +126,6 @@ func DryStitch(region *tmpl.Region, mem []int64, tableBase int64,
 
 type stitch struct {
 	r    *tmpl.Region
-	sten *tmpl.Stencil // region's precompiled stencils, nil on the interpretive path
 	mem  []int64
 	tbl  int64
 	opts Options
@@ -170,7 +150,7 @@ type stitch struct {
 	ctx    ctxArena
 	nSlots int // window length: 1 + the region's max loop id
 
-	// Interpretive-path state.
+	// Loop lookup and chain scratch.
 	loopByID []*tmpl.Loop
 	fromBuf  []int // chain scratch
 	toBuf    []int
@@ -193,7 +173,6 @@ type memoEntry struct {
 // begin resets pooled state and binds the stitch to one region/table.
 func (st *stitch) begin(region *tmpl.Region, mem []int64, tableBase int64, opts Options) {
 	st.r = region
-	st.sten = region.Stencil
 	st.mem = mem
 	st.tbl = tableBase
 	st.opts = opts
@@ -213,11 +192,6 @@ func (st *stitch) begin(region *tmpl.Region, mem []int64, tableBase int64, opts 
 	st.statsVal = Stats{}
 	st.stats = &st.statsVal
 
-	if st.sten != nil {
-		st.stats.StencilPath = true
-		st.nSlots = st.sten.NumLoopSlots
-		return
-	}
 	maxID := -1
 	for _, l := range region.Loops {
 		if l.ID > maxID {
@@ -254,7 +228,7 @@ func (st *stitch) release(sc *scratch) {
 		st.memoKeys = nil
 	}
 	st.ctx.trim(maxPooledCtxChunks)
-	st.r, st.sten, st.mem, st.stats = nil, nil, nil, nil
+	st.r, st.mem, st.stats = nil, nil, nil
 	for i := range st.loopByID {
 		st.loopByID[i] = nil
 	}
@@ -264,13 +238,7 @@ func (st *stitch) release(sc *scratch) {
 // emit runs block emission from the region entry plus the shared cleanup
 // passes, leaving the finished code in st.out.
 func (st *stitch) emit() error {
-	var entryPC int
-	var err error
-	if st.sten != nil {
-		entryPC, err = st.emitBlockS(int(st.sten.Entry), st.rootCtx())
-	} else {
-		entryPC, err = st.emitBlock(st.r.Entry, st.rootCtx())
-	}
+	entryPC, err := st.emitBlock(st.r.Entry, st.rootCtx())
 	if err != nil {
 		return err
 	}
@@ -292,7 +260,7 @@ func (st *stitch) emit() error {
 }
 
 // materialize copies the finished emission into an exact-size executable
-// segment (the only allocations of a warm stencil-path stitch).
+// segment (the only allocations of a warm stitch).
 func (st *stitch) materialize(parent *vm.Segment) *vm.Segment {
 	st.stats.InstsStitched = len(st.out)
 	st.stats.CyclesModeled += uint64(costPerInst * len(st.out))
@@ -464,27 +432,23 @@ func keysEqual(a, b []int64) bool {
 	return true
 }
 
-// ---- shared slot resolution ----
+// ---- slot resolution ----
 
-// readRef resolves an integer-coded slot reference (loopID -1 = region
-// table, else the loop's active record) and reads its value.
-func (st *stitch) readRef(loopID, slot int, ctx []int64) (int64, error) {
+// readSlot resolves a slot reference (LoopID -1 = region table, else the
+// loop's active record) and reads its value.
+func (st *stitch) readSlot(ref tmpl.SlotRef, ctx []int64) (int64, error) {
 	base := st.tbl
-	if loopID >= 0 {
+	if loopID := ref.LoopID; loopID >= 0 {
 		if loopID >= len(ctx) || ctx[loopID] < 0 {
 			return 0, fmt.Errorf("stitch: no active record for loop %d", loopID)
 		}
 		base = ctx[loopID]
 	}
-	a := base + int64(slot)
+	a := base + int64(ref.Slot)
 	if a < 0 || a >= int64(len(st.mem)) {
 		return 0, fmt.Errorf("stitch: table slot out of bounds (%d)", a)
 	}
 	return st.mem[a], nil
-}
-
-func (st *stitch) readSlot(ref tmpl.SlotRef, ctx []int64) (int64, error) {
-	return st.readRef(ref.LoopID, ref.Slot, ctx)
 }
 
 // largeConst interns v in the linearized large-constant table.
@@ -500,7 +464,7 @@ func (st *stitch) largeConst(v int64) int64 {
 	return int64(i)
 }
 
-// ---- interpretive path ----
+// ---- block emission ----
 
 // chainInto writes the enclosing-loop ids of block bi into *buf,
 // innermost first, and returns the filled slice.
@@ -524,11 +488,10 @@ func inChain(chain []int, id int) bool {
 	return false
 }
 
-// memoKeyI builds the integer memo key for one interpretive emission of
-// block bi: the block index, then the active record of each enclosing loop
-// in ascending-id order (a tiny insertion sort — chains are a handful of
-// ids — replacing the old sort.Ints + strings.Builder key).
-func (st *stitch) memoKeyI(bi int, ctx []int64) []int64 {
+// memoKey builds the integer memo key for one emission of block bi: the
+// block index, then the active record of each enclosing loop in
+// ascending-id order (a tiny insertion sort; chains are a handful of ids).
+func (st *stitch) memoKey(bi int, ctx []int64) []int64 {
 	ids := st.sortBuf[:0]
 	id := st.r.Blocks[bi].LoopID
 	for id >= 0 {
@@ -623,7 +586,7 @@ func (st *stitch) emitEdge(from int, e tmpl.Edge, ctx []int64) (int, error) {
 // memo entry is installed before emission so record-chain cycles
 // terminate).
 func (st *stitch) emitBlock(bi int, ctx []int64) (int, error) {
-	key := st.memoKeyI(bi, ctx)
+	key := st.memoKey(bi, ctx)
 	if pc, ok := st.memoGet(key); ok {
 		return pc, nil
 	}

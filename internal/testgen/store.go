@@ -14,6 +14,7 @@ import (
 	"dyncc/internal/core"
 	"dyncc/internal/rtr"
 	"dyncc/internal/segio"
+	"dyncc/internal/vm"
 )
 
 // storeStats pulls the counters RunStore asserts on and checks the lookup
@@ -114,6 +115,55 @@ func RunStore(seed, cIn, xIn int64) error {
 	async.Cache.AsyncStitch = true
 	if err := tc.checkSubject("store:cold+async", async); err != nil {
 		return err
+	}
+	return nil
+}
+
+// runKept compiles the case under cfg with diagnostic segment retention on,
+// runs the full call sequence, and returns the compiled program so the
+// caller can inspect Runtime.Stitched. Inline stitching only: stitch order
+// (and therefore retention order) is then deterministic, so two subjects
+// running the same call sequence retain comparable slices.
+func (tc *testCase) runKept(name string, cfg core.Config) (*core.Compiled, error) {
+	cfg.Cache.KeepStitched = true
+	p, err := core.Compile(tc.src, cfg)
+	if err != nil {
+		return nil, fmt.Errorf("%s compile: %w\n%s", name, err, tc.src)
+	}
+	m := p.NewMachine(0)
+	va, err := m.Alloc(tc.n)
+	if err != nil {
+		p.Runtime.Close()
+		return nil, fmt.Errorf("%s alloc: %w", name, err)
+	}
+	copy(m.Mem[va:va+tc.n], tc.contents)
+	for _, x := range tc.xs {
+		if _, err := m.Call("f", va, tc.n, tc.c, x); err != nil {
+			p.Runtime.Close()
+			return nil, fmt.Errorf("%s run (c=%d x=%d): %w\n%s", name, tc.c, x, err, tc.src)
+		}
+	}
+	return p, nil
+}
+
+// sameSegment compares the emitted artifact fields two runtimes must agree
+// on byte for byte.
+func sameSegment(a, b *vm.Segment) error {
+	if len(a.Code) != len(b.Code) {
+		return fmt.Errorf("code length %d != %d", len(a.Code), len(b.Code))
+	}
+	for i := range a.Code {
+		if a.Code[i] != b.Code[i] {
+			return fmt.Errorf("code[%d] differs: %+v != %+v", i, a.Code[i], b.Code[i])
+		}
+	}
+	if len(a.Consts) != len(b.Consts) {
+		return fmt.Errorf("const pool length %d != %d", len(a.Consts), len(b.Consts))
+	}
+	for i := range a.Consts {
+		if a.Consts[i] != b.Consts[i] {
+			return fmt.Errorf("consts[%d] differs: %d != %d", i, a.Consts[i], b.Consts[i])
+		}
 	}
 	return nil
 }

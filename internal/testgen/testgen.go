@@ -394,18 +394,17 @@ func Run(seed, cIn, xIn int64) error {
 }
 
 // AblationPasses lists the disableable passes RunAblation knocks out one
-// at a time: every optimizer sub-pass, the stencil precompilation pass
-// (whose ablation falls back to interpretive stitching), the autoregion
-// speculation pass (whose ablation must leave a Config.AutoRegion build
-// behaviourally identical to a plain dynamic build), and the demand-driven
-// inline pass (whose ablation keeps every call boundary intact).
+// at a time: every optimizer sub-pass, the autoregion speculation pass
+// (whose ablation must leave a Config.AutoRegion build behaviourally
+// identical to a plain dynamic build), and the demand-driven inline pass
+// (whose ablation keeps every call boundary intact).
 func AblationPasses() []string {
 	subs := opt.SubPasses()
-	names := make([]string, 0, len(subs)+3)
+	names := make([]string, 0, len(subs)+2)
 	for _, sp := range subs {
 		names = append(names, sp.Name)
 	}
-	return append(names, "stencil", "autoregion", "inline")
+	return append(names, "autoregion", "inline")
 }
 
 // RunAblation is the pipeline's pass-ablation differential: for each

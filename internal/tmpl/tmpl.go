@@ -114,12 +114,6 @@ type Region struct {
 	// never shared: their tables alias per-machine data.
 	Shareable bool
 
-	// Stencil is the region's precompiled copy-and-patch form, attached by
-	// the `stencil` pipeline pass (see stencil.go). Nil when the pass is
-	// disabled or precompilation declined the region; the stitcher then
-	// falls back to interpreting the template structure directly.
-	Stencil *Stencil
-
 	// Auto marks regions synthesized by the autoregion pass. The runtime
 	// profiles such regions before stitching them, wraps their stitched
 	// code in GUARD instructions, and deoptimizes to DeoptPC — the pc of
