@@ -259,6 +259,7 @@ func (fg *funcGen) emitTemplates(r *ir.Region, sr *split.Result) (*tmpl.Region, 
 			Holes:           sr.Stats.Holes,
 		},
 	}
+	tr.StitchedName = tr.Name + ".stitched"
 	for i := range r.Keys {
 		tr.KeyRegs = append(tr.KeyRegs, regalloc.TempA+vm.Reg(i))
 	}

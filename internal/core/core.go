@@ -328,12 +328,13 @@ const (
 
 // makeKeySetupFn builds the key-driven set-up evaluator the async stitch
 // workers use: given only the region's key values, interpret the set-up
-// subgraph in a private arena and return (arena, table base). It returns
+// subgraph in a private arena (the caller's recycled one when it is large
+// enough, cleared first) and return (arena, table base). It returns
 // nil when any set-up input is neither a key nor a compile-time-resolvable
 // constant — which the Shareable proof rules out, so nil is purely
 // defensive (the region then stitches inline, never incorrectly).
 func makeKeySetupFn(mod *ir.Module, f *ir.Func, r *ir.Region,
-	sr *split.Result) func(keyVals []int64) ([]int64, int64, error) {
+	sr *split.Result) rtr.KeySetupFunc {
 
 	inputs := setupInputs(f, sr)
 
@@ -377,7 +378,7 @@ func makeKeySetupFn(mod *ir.Module, f *ir.Func, r *ir.Region,
 	}
 
 	base := int64(mod.GlobalWords)
-	return func(keyVals []int64) ([]int64, int64, error) {
+	return func(keyVals, arena []int64) ([]int64, int64, error) {
 		if len(keyVals) != len(r.Keys) {
 			return nil, 0, fmt.Errorf("key set-up: %d key values, want %d",
 				len(keyVals), len(r.Keys))
@@ -387,7 +388,13 @@ func makeKeySetupFn(mod *ir.Module, f *ir.Func, r *ir.Region,
 			size *= 2
 		}
 		for ; ; size *= 2 {
-			mem := make([]int64, size)
+			var mem []int64
+			if int64(cap(arena)) >= size {
+				mem = arena[:size]
+				clear(mem)
+			} else {
+				mem = make([]int64, size)
+			}
 			hp := base
 			grew := false
 			env := &ir.InterpEnv{

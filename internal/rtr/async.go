@@ -42,6 +42,7 @@ import (
 	"errors"
 	"fmt"
 	"math/bits"
+	"sync"
 	"time"
 
 	"dyncc/internal/stitcher"
@@ -200,6 +201,34 @@ func (rt *Runtime) worker() {
 	}
 }
 
+// KeySetupFunc rebuilds a region's run-time constants table from its key
+// values alone (see Runtime.KeySetup). It returns the memory image holding
+// the table and the table base within it. When arena is large enough it
+// is cleared and used as that image; otherwise a fresh one is allocated.
+// The image belongs to the caller once the function returns.
+type KeySetupFunc func(keyVals, arena []int64) (mem []int64, tbl int64, err error)
+
+// maxPooledKeyArena caps the key set-up images kept for reuse, in words:
+// one region with an outsized table must not pin its image forever.
+const maxPooledKeyArena = 1 << 16
+
+// keyArenaPool recycles key set-up memory images across background jobs.
+var keyArenaPool = sync.Pool{New: func() any { return new([]int64) }}
+
+// putKeyArena returns a job's memory image to the pool once the stitcher
+// is done with it (a stitched segment copies everything it keeps). mem is
+// the image the set-up function returned, nil when it failed, in which
+// case the arena handed in is kept.
+func putKeyArena(arena *[]int64, mem []int64) {
+	if mem != nil {
+		*arena = mem
+	}
+	if cap(*arena) > maxPooledKeyArena {
+		*arena = nil
+	}
+	keyArenaPool.Put(arena)
+}
+
 // runJob performs one background stitch: re-derive the table from the key
 // bytes, stitch, and publish with generation fencing.
 func (rt *Runtime) runJob(job stitchJob) {
@@ -224,19 +253,21 @@ func (rt *Runtime) runJob(job stitchJob) {
 
 	var (
 		seg   *vm.Segment
-		stats *stitcher.Stats
+		stats stitcher.Stats
 		err   error
 	)
 	keyVals, err := decodeKey(job.key, len(r.KeyRegs))
 	if err == nil {
+		arena := keyArenaPool.Get().(*[]int64)
 		var (
 			mem []int64
 			tbl int64
 		)
-		mem, tbl, err = rt.KeySetup[job.region](keyVals)
+		mem, tbl, err = rt.KeySetup[job.region](keyVals, *arena)
 		if err == nil {
 			seg, stats, err = stitcher.Stitch(r, mem, tbl, rt.Prog.Segs[r.FuncID], rt.Opts.Stitcher)
 		}
+		putKeyArena(arena, mem)
 		if err == nil {
 			// Auto regions: guard-wrap before publish/persist (promote.go).
 			seg, err = guardStitch(r, seg, job.key)
@@ -259,7 +290,7 @@ func (rt *Runtime) runJob(job stitchJob) {
 	}
 	rt.asyncStitches.Add(1)
 	sh.stitches++
-	sh.addStatsLocked(job.region, stats)
+	sh.addStatsLocked(job.region, &stats)
 	e.bytes = int64(seg.MemFootprint())
 	restitch := sh.evicted.remove(ck)
 	if restitch {

@@ -182,15 +182,49 @@ func TestAsyncStitchByteIdentical(t *testing.T) {
 	}
 }
 
+// Background jobs recycle key set-up arenas. A reused arena must be
+// cleared before set-up runs in it, so set-up into a dirty arena yields
+// exactly the image a fresh one does, in the arena's own memory.
+func TestKeySetupReusesDirtyArena(t *testing.T) {
+	c, err := core.Compile(keyedSrc, core.Config{Dynamic: true, Optimize: true,
+		Cache: rtr.CacheOptions{AsyncStitch: true}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Runtime.Close()
+	setup := c.Runtime.KeySetup[0]
+	if setup == nil {
+		t.Fatal("no KeySetup installed for the shareable keyed region")
+	}
+	fresh, tbl, err := setup([]int64{7}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dirty := make([]int64, 2*len(fresh))
+	for i := range dirty {
+		dirty[i] = 0x5a5a5a5a
+	}
+	reused, tbl2, err := setup([]int64{7}, dirty)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &reused[0] != &dirty[0] {
+		t.Error("set-up did not run in the large enough arena it was handed")
+	}
+	if tbl2 != tbl || !reflect.DeepEqual(reused, fresh) {
+		t.Error("set-up in a reused arena differs from set-up in a fresh one")
+	}
+}
+
 // blockKeySetup wraps a region's key set-up function so the background
 // worker blocks until released — a deterministic handle on the in-flight
 // window for the backpressure and invalidation tests below.
 func blockKeySetup(c *core.Compiled, region int) (release func()) {
 	orig := c.Runtime.KeySetup[region]
 	gate := make(chan struct{})
-	c.Runtime.KeySetup[region] = func(keyVals []int64) ([]int64, int64, error) {
+	c.Runtime.KeySetup[region] = func(keyVals, arena []int64) ([]int64, int64, error) {
 		<-gate
-		return orig(keyVals)
+		return orig(keyVals, arena)
 	}
 	var once sync.Once
 	return func() { once.Do(func() { close(gate) }) }

@@ -267,11 +267,12 @@ func (rt *Runtime) lookupShared(region int, key string) *vm.Segment {
 // exactly one goroutine runs the stitcher against its own machine's table;
 // everyone else blocks until it publishes. The window between claim and
 // publish contains only host-side stitching (no VM execution), so waiters
-// cannot be abandoned. Returns the segment, the stitch statistics if this
-// call was the winner (nil for waiters — the winner's machine already
-// accounted the modeled cost), and any stitch error.
+// cannot be abandoned. Returns the segment, the stitch statistics and
+// stitched == true if this call was the winner (waiters get false — the
+// winner's machine already accounted the modeled cost), and any stitch
+// error.
 func (rt *Runtime) stitchShared(m *vm.Machine, region int, key string,
-	tbl int64) (*vm.Segment, *stitcher.Stats, error) {
+	tbl int64) (seg *vm.Segment, stats stitcher.Stats, stitched bool, err error) {
 
 	r := rt.Regions[region]
 	sh := rt.shardFor(region, key)
@@ -284,7 +285,7 @@ func (rt *Runtime) stitchShared(m *vm.Machine, region int, key string,
 		// A failed stitch is deterministic for a shareable region (the
 		// output depends only on the key), so propagate the winner's error
 		// rather than re-running a stitch that would fail identically.
-		return e.seg, nil, e.err
+		return e.seg, stitcher.Stats{}, false, e.err
 	}
 	claimGen := rt.gens[region].Load()
 	e := &entry{key: ck, gen: claimGen,
@@ -301,15 +302,15 @@ func (rt *Runtime) stitchShared(m *vm.Machine, region int, key string,
 		// synchronous but happens only here, after winning the
 		// singleflight claim — concurrent missers coalesce onto it, and
 		// the warm lookup path never sees the store. Adoption is free:
-		// no stitch is counted and no stitch cost charged (stats == nil),
-		// exactly like adopting another machine's stitch.
+		// no stitch is counted and no stitch cost charged (stitched ==
+		// false), exactly like adopting another machine's stitch.
 		if seg := rt.storeLoad(region, claimGen, key); seg != nil {
 			rt.adoptStored(region, e, seg)
-			return seg, nil, nil
+			return seg, stitcher.Stats{}, false, nil
 		}
 	}
 
-	seg, stats, err := stitcher.Stitch(r, m.Mem, tbl, m.Prog.Segs[r.FuncID], rt.Opts.Stitcher)
+	seg, stats, err = stitcher.Stitch(r, m.Mem, tbl, m.Prog.Segs[r.FuncID], rt.Opts.Stitcher)
 	if err == nil {
 		// Auto regions: wrap in deoptimization guards before the segment is
 		// published or persisted, so every consumer — waiters, adopting
@@ -329,10 +330,10 @@ func (rt *Runtime) stitchShared(m *vm.Machine, region int, key string,
 			delete(sh.entries, ck)
 		}
 		sh.mu.Unlock()
-		return seg, stats, err
+		return seg, stats, true, err
 	}
 	sh.stitches++
-	sh.addStatsLocked(region, stats)
+	sh.addStatsLocked(region, &stats)
 	e.bytes = int64(seg.MemFootprint())
 	restitch := sh.evicted.remove(ck)
 	if restitch {
@@ -357,7 +358,7 @@ func (rt *Runtime) stitchShared(m *vm.Machine, region int, key string,
 		if reserved {
 			rt.releaseEntry()
 		}
-		return seg, stats, nil
+		return seg, stats, true, nil
 	}
 	rt.makeRoomLocked(sh, region, e.bytes)
 	sh.publishLocked(rt, e)
@@ -370,7 +371,7 @@ func (rt *Runtime) stitchShared(m *vm.Machine, region int, key string,
 	rt.storePut(region, putGen, key, seg)
 
 	rt.reclaim(region)
-	return seg, stats, nil
+	return seg, stats, true, nil
 }
 
 // recordStats folds one private (unshared) stitch into the shard-local

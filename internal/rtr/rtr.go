@@ -94,13 +94,12 @@ type Runtime struct {
 
 	// KeySetup, when present for a region, rebuilds the region's run-time
 	// constants table from the key values alone, in a private arena (no
-	// machine involved): it returns the arena and the table base within it.
-	// The compiler installs one for every region it proved Shareable —
-	// exactly the proof that set-up depends on nothing but the keys — and
-	// the async stitching pipeline uses it to stitch on background workers
-	// (see async.go). Like SetupFn it must be fully populated before the
-	// first Attach and is read without locks after.
-	KeySetup map[int]func(keyVals []int64) (mem []int64, tbl int64, err error)
+	// machine involved). The compiler installs one for every region it
+	// proved Shareable — exactly the proof that set-up depends on nothing
+	// but the keys — and the async stitching pipeline uses it to stitch on
+	// background workers (see async.go). Like SetupFn it must be fully
+	// populated before the first Attach and is read without locks after.
+	KeySetup map[int]KeySetupFunc
 
 	// shards is the level-1 shared cache (see package comment).
 	shards []shard
@@ -181,7 +180,7 @@ func New(prog *vm.Program, regions []*tmpl.Region, opts Options) *Runtime {
 		Stitched:       map[int][]*vm.Segment{},
 		stitchedSeen:   map[*vm.Segment]struct{}{},
 		SetupFn:        map[int]func(m *vm.Machine) (int64, uint64, error){},
-		KeySetup:       map[int]func(keyVals []int64) (mem []int64, tbl int64, err error){},
+		KeySetup:       map[int]KeySetupFunc{},
 		shards:         make([]shard, numShards(opts.Cache.Shards)),
 		gens:           make([]atomic.Uint64, len(regions)),
 		regionResident: make([]atomic.Int64, len(regions)),
@@ -574,20 +573,22 @@ func (rt *Runtime) stitchNow(m *vm.Machine, ms *machineState, region int,
 
 	r := rt.Regions[region]
 	var (
-		seg   *vm.Segment
-		stats *stitcher.Stats
-		err   error
+		seg      *vm.Segment
+		stats    stitcher.Stats
+		stitched bool // this goroutine ran the stitcher
+		err      error
 	)
 	if rt.shared(r) {
-		seg, stats, err = rt.stitchShared(m, region, key, tbl)
+		seg, stats, stitched, err = rt.stitchShared(m, region, key, tbl)
 	} else {
 		seg, stats, err = stitcher.Stitch(r, m.Mem, tbl, m.Prog.Segs[r.FuncID], rt.Opts.Stitcher)
 		if err == nil {
 			seg, err = guardStitch(r, seg, key)
 		}
 		if err == nil {
+			stitched = true
 			rt.privateStitches.Add(1)
-			rt.recordStats(region, key, stats)
+			rt.recordStats(region, key, &stats)
 		}
 	}
 	if err != nil {
@@ -596,7 +597,7 @@ func (rt *Runtime) stitchNow(m *vm.Machine, ms *machineState, region int,
 	ms.put(rt, region, key, seg)
 	rt.keepStitched(region, seg)
 
-	if stats != nil {
+	if stitched {
 		// This goroutine ran the stitcher: account the modeled cost.
 		rc := m.Region(region)
 		rc.StitchCycles += stats.CyclesModeled

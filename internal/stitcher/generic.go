@@ -80,20 +80,15 @@ func Generic(region *tmpl.Region, parent *vm.Segment, opts Options) (*vm.Segment
 		g.out[f.pc].Target = pc
 	}
 
-	code := make([]vm.Inst, len(g.out))
-	copy(code, g.out)
+	// g belongs to this call, so its buffers become the segment's as is.
+	code := g.out
 	if !opts.NoFuse {
-		code = vm.Fuse(code, vm.FuseOptions{}).Code
-	}
-	var consts []int64
-	if len(g.consts) > 0 {
-		consts = make([]int64, len(g.consts))
-		copy(consts, g.consts)
+		code = vm.Fuse(g.out, vm.FuseOptions{}).Code
 	}
 	seg := &vm.Segment{
 		Name:     region.Name + ".generic",
 		Code:     code,
-		Consts:   consts,
+		Consts:   g.consts,
 		Parent:   parent,
 		Region:   region.Index,
 		Stitched: true,

@@ -30,8 +30,9 @@ func benchRegion(iters int) (*tmpl.Region, []int64, int64) {
 		mem[r+2] = int64(r + recSize)
 	}
 	region := &tmpl.Region{
-		Index: 0,
-		Name:  "bench:r0",
+		Index:        0,
+		Name:         "bench:r0",
+		StitchedName: "bench:r0.stitched", // set once per region, as codegen does
 		Blocks: []*tmpl.Block{
 			{ // preheader
 				Code:   []vm.Inst{{Op: vm.ADDI, Rd: 21, Rs: 20}},
@@ -102,6 +103,32 @@ func TestStitchWarmZeroAllocs(t *testing.T) {
 	dry() // grow every pooled buffer to its steady state
 	if n := testing.AllocsPerRun(50, dry); n != 0 {
 		t.Errorf("warm emission allocates %.1f objects per stitch, want 0", n)
+	}
+}
+
+// stitchAllocBudget is what a warm full stitch of benchRegion may
+// allocate: only what the finished segment keeps — the Segment, its
+// exact-size code and its execution plan (the plan struct, its per-pc
+// slab, its prefix-sum slab and its block table). The region has no large
+// constants, so no constants table.
+const stitchAllocBudget = 6
+
+// TestStitchAllocBudget pins the materialization allocation budget on top
+// of the zero-alloc emission TestStitchWarmZeroAllocs pins.
+func TestStitchAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector makes sync.Pool drop a random share of Puts, so pooled scratch is not reliably warm")
+	}
+	region, mem, tbl := benchRegion(32)
+	parent := &vm.Segment{Name: "f", Code: make([]vm.Inst, 20), Region: -1}
+	stitch := func() {
+		if _, _, err := Stitch(region, mem, tbl, parent, Options{}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stitch() // warm the emission and fusion scratch pools
+	if n := testing.AllocsPerRun(50, stitch); n > stitchAllocBudget {
+		t.Errorf("warm stitch allocates %.1f objects, want <= %d", n, stitchAllocBudget)
 	}
 }
 

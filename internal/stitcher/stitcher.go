@@ -88,19 +88,19 @@ var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 // singleflights concurrent stitches of the same specialization, but
 // distinct specializations may stitch in parallel).
 func Stitch(region *tmpl.Region, mem []int64, tableBase int64,
-	parent *vm.Segment, opts Options) (*vm.Segment, *Stats, error) {
+	parent *vm.Segment, opts Options) (*vm.Segment, Stats, error) {
 
 	sc := scratchPool.Get().(*scratch)
 	st := &sc.st
 	st.begin(region, mem, tableBase, opts)
 	if err := st.emit(); err != nil {
 		st.release(sc)
-		return nil, nil, err
+		return nil, Stats{}, err
 	}
 	seg := st.materialize(parent)
 	stats := st.statsVal
 	st.release(sc)
-	return seg, &stats, nil
+	return seg, stats, nil
 }
 
 // DryStitch runs the full emission pipeline — block walk, hole patching,
@@ -260,20 +260,25 @@ func (st *stitch) emit() error {
 }
 
 // materialize copies the finished emission into an exact-size executable
-// segment (the only allocations of a warm stitch).
+// segment. A warm stitch allocates only what the segment keeps: the
+// Segment, its code, its constants (when there are any) and its execution
+// plan.
 func (st *stitch) materialize(parent *vm.Segment) *vm.Segment {
 	st.stats.InstsStitched = len(st.out)
 	st.stats.CyclesModeled += uint64(costPerInst * len(st.out))
 
-	code := make([]vm.Inst, len(st.out))
-	copy(code, st.out)
-	if !st.opts.NoFuse {
-		// Superinstruction fusion on the finished stitch. Runs after the
-		// stats above so Table 2/3 report the pre-fusion stitch work;
-		// modeled guest cycles are unchanged by construction. Stitched
-		// code has uniform attribution, no entry markers and no jump
-		// tables; its XFERs target the parent and are left alone.
-		fr := vm.Fuse(code, vm.FuseOptions{})
+	var code []vm.Inst
+	if st.opts.NoFuse {
+		code = make([]vm.Inst, len(st.out))
+		copy(code, st.out)
+	} else {
+		// Superinstruction fusion on the finished stitch, straight from
+		// the pooled buffer (Fuse returns a fresh exact-size copy). Runs
+		// after the stats above so Table 2/3 report the pre-fusion stitch
+		// work; modeled guest cycles are unchanged by construction.
+		// Stitched code has uniform attribution, no entry markers and no
+		// jump tables; its XFERs target the parent and are left alone.
+		fr := vm.Fuse(st.out, vm.FuseOptions{})
 		code = fr.Code
 		st.stats.Fusion = fr.Stats
 	}
@@ -283,7 +288,7 @@ func (st *stitch) materialize(parent *vm.Segment) *vm.Segment {
 		copy(consts, st.consts)
 	}
 	seg := &vm.Segment{
-		Name:     st.r.Name + ".stitched",
+		Name:     stitchedName(st.r),
 		Code:     code,
 		Consts:   consts,
 		Parent:   parent,
@@ -292,6 +297,16 @@ func (st *stitch) materialize(parent *vm.Segment) *vm.Segment {
 	}
 	seg.Prepare() // pay plan derivation at stitch time, not first run
 	return seg
+}
+
+// stitchedName names a stitched segment of r. Codegen sets
+// r.StitchedName once per region; hand-built regions fall back to
+// deriving it.
+func stitchedName(r *tmpl.Region) string {
+	if r.StitchedName != "" {
+		return r.StitchedName
+	}
+	return r.Name + ".stitched"
 }
 
 func (st *stitch) add(in vm.Inst) int {

@@ -103,6 +103,10 @@ type Region struct {
 	Loops     []*Loop
 	Stats     Stats
 
+	// StitchedName names the region's stitched segments (Name +
+	// ".stitched"). Codegen derives it once so a stitch need not.
+	StitchedName string
+
 	// Shareable marks regions whose stitched code is a pure function of
 	// the key-register values: the static compiler proved that the set-up
 	// code computes the run-time constants table from the key values alone

@@ -1,5 +1,7 @@
 package vm
 
+import "sync"
+
 // Stitch-time superinstruction fusion.
 //
 // Fuse rewrites a finished code sequence — stitched output or a statically
@@ -56,14 +58,18 @@ type FuseStats struct {
 }
 
 // FuseResult is the rewritten code plus the bookkeeping the caller needs
-// to relocate labels and attribution tables.
+// to relocate labels and attribution tables. Every slice is freshly
+// allocated at its exact size; none aliases the input or Fuse's pooled
+// scratch.
 type FuseResult struct {
 	Code []Inst
 
 	// PCMap maps every input pc (plus one-past-the-end) to the output pc of
 	// its instruction — or, when the instruction was eliminated, of the next
 	// surviving instruction. Monotone, so label and table remapping is a
-	// direct index.
+	// direct index. Nil when FuseOptions has no Leaders and no EntryPCs:
+	// those are the only input pcs a caller can hold, so without them
+	// there is nothing to relocate.
 	PCMap []int
 
 	// Remapped attribution for the output code (nil if the input's was nil).
@@ -75,74 +81,129 @@ type FuseResult struct {
 
 const allRegs = ^uint64(0)
 
-// fuser carries the pipeline state over one Fuse call.
+// fuser carries the pipeline state over one Fuse call. It is pooled: every
+// buffer is reused across calls and resized, never reallocated, once warm.
+// All per-pc slices are indexed by current pc; compact rewrites them in
+// place.
 type fuser struct {
 	code     []Inst
-	regionOf []int16
-	setupOf  []bool
-	leader   []bool // external leaders + control-flow leaders, current code
-	extern   []bool // externally-referenced pcs only, current code
-	entry    []bool // region-entry pcs, current code
-	pcMap    []int  // original pc -> current pc
+	regionOf []int16 // nil: uniform attribution
+	setupOf  []bool  // nil: no set-up code
+	leader   []bool  // external leaders + control-flow leaders, current code
+	extern   []bool  // externally-referenced pcs only, current code
+	entry    []bool  // region-entry pcs, current code
+	kill     []bool  // slots marked for removal by the current pass
+	pcMap    []int   // original pc -> current pc
+	newpc    []int   // compact's old pc -> new pc
+	liveOut  []uint64
+	liveIn   []uint64 // block-start pc -> live-in registers
+	starts   []int    // block starts, ascending
 	stats    FuseStats
+
+	// Backing buffers for the optional attribution tables, kept while
+	// regionOf/setupOf are nil for inputs without attribution.
+	regionBuf []int16
+	setupBuf  []bool
 }
 
+// maxPooledFuseInsts caps what a pooled fuser retains: scratch grown by a
+// longer input (one huge static function) is dropped rather than pinned.
+const maxPooledFuseInsts = 1 << 14
+
+var fuserPool = sync.Pool{New: func() any { return new(fuser) }}
+
 // Fuse runs the superinstruction pipeline over code and returns the
-// rewritten sequence. The input slice is not modified.
+// rewritten sequence. The input slices are not modified, and the result
+// shares no memory with them. Fuse is safe for concurrent use.
 func Fuse(code []Inst, opts FuseOptions) FuseResult {
-	f := &fuser{
-		code:  append([]Inst(nil), code...),
-		pcMap: make([]int, len(code)+1),
+	f := fuserPool.Get().(*fuser)
+	res := f.fuse(code, opts)
+	if cap(f.code) <= maxPooledFuseInsts {
+		fuserPool.Put(f)
 	}
-	for i := range f.pcMap {
-		f.pcMap[i] = i
-	}
-	if opts.RegionOf != nil {
-		f.regionOf = append([]int16(nil), opts.RegionOf...)
-		for len(f.regionOf) < len(code) {
-			f.regionOf = append(f.regionOf, -1)
-		}
-	}
-	if opts.SetupOf != nil {
-		f.setupOf = append([]bool(nil), opts.SetupOf...)
-		for len(f.setupOf) < len(code) {
-			f.setupOf = append(f.setupOf, false)
-		}
-	}
-	f.extern = make([]bool, len(code)+1)
-	for _, pc := range opts.Leaders {
-		if pc >= 0 && pc <= len(code) {
-			f.extern[pc] = true
-		}
-	}
-	f.entry = make([]bool, len(code)+1)
-	for _, pc := range opts.EntryPCs {
-		if pc >= 0 && pc <= len(code) {
-			f.entry[pc] = true
-		}
-	}
-	f.stats.InstsBefore = len(code)
+	return res
+}
+
+// fuse runs the pipeline on f's scratch and copies the result out.
+func (f *fuser) fuse(code []Inst, opts FuseOptions) FuseResult {
+	f.reset(code, opts)
 
 	f.computeLeaders()
 	f.copyProp()
-	kill := f.deadWrites()
-	f.compact(kill)
+	f.deadWrites()
+	f.compact()
 
 	f.computeLeaders()
-	kill = f.fusePairs()
-	f.compact(kill)
+	f.fusePairs()
+	f.compact()
 
 	f.computeLeaders()
 	f.threadJumps()
 
 	f.stats.InstsAfter = len(f.code)
-	return FuseResult{
-		Code:     f.code,
-		PCMap:    f.pcMap,
-		RegionOf: f.regionOf,
-		SetupOf:  f.setupOf,
-		Stats:    f.stats,
+	res := FuseResult{
+		Code:  append([]Inst(nil), f.code...),
+		Stats: f.stats,
 	}
+	if len(opts.Leaders) > 0 || len(opts.EntryPCs) > 0 {
+		res.PCMap = append([]int(nil), f.pcMap...)
+	}
+	if f.regionOf != nil {
+		res.RegionOf = append([]int16(nil), f.regionOf...)
+	}
+	if f.setupOf != nil {
+		res.SetupOf = append([]bool(nil), f.setupOf...)
+	}
+	return res
+}
+
+// reset loads code and opts into pooled scratch, clearing every bit a
+// previous call may have left behind.
+func (f *fuser) reset(code []Inst, opts FuseOptions) {
+	n := len(code)
+	f.code = append(f.code[:0], code...)
+	f.pcMap = resize(f.pcMap, n+1)
+	for i := range f.pcMap {
+		f.pcMap[i] = i
+	}
+	f.regionOf = nil
+	if opts.RegionOf != nil {
+		f.regionBuf = resize(f.regionBuf, n)
+		for i := copy(f.regionBuf, opts.RegionOf); i < n; i++ {
+			f.regionBuf[i] = -1
+		}
+		f.regionOf = f.regionBuf
+	}
+	f.setupOf = nil
+	if opts.SetupOf != nil {
+		f.setupBuf = resize(f.setupBuf, n)
+		clear(f.setupBuf[copy(f.setupBuf, opts.SetupOf):])
+		f.setupOf = f.setupBuf
+	}
+	f.extern = resize(f.extern, n+1)
+	clear(f.extern)
+	for _, pc := range opts.Leaders {
+		if pc >= 0 && pc <= n {
+			f.extern[pc] = true
+		}
+	}
+	f.entry = resize(f.entry, n+1)
+	clear(f.entry)
+	for _, pc := range opts.EntryPCs {
+		if pc >= 0 && pc <= n {
+			f.entry[pc] = true
+		}
+	}
+	f.stats = FuseStats{InstsBefore: n}
+}
+
+// resize returns buf resized to n, reallocating only when it is too
+// small; the contents are unspecified.
+func resize[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
 }
 
 // sameAttr reports whether pcs a and b share cycle attribution, i.e.
@@ -187,7 +248,8 @@ func isBarrier(op Op) bool {
 // attribution changes and entry markers.
 func (f *fuser) computeLeaders() {
 	n := len(f.code)
-	f.leader = make([]bool, n+1)
+	f.leader = resize(f.leader, n+1)
+	clear(f.leader)
 	mark := func(pc int) {
 		if pc >= 0 && pc <= n {
 			f.leader[pc] = true
@@ -330,21 +392,22 @@ func (f *fuser) copyProp() {
 
 // liveness computes, for every pc, the set of registers live after the
 // instruction executes (block-level backward fixpoint, conservative at
-// barriers and segment exits).
+// barriers and segment exits). The result is pooled scratch, valid until
+// the next call.
 func (f *fuser) liveness() []uint64 {
 	n := len(f.code)
-	liveOut := make([]uint64, n)
-	if n == 0 {
-		return liveOut
-	}
+	liveOut := resize(f.liveOut, n)
+	liveIn := resize(f.liveIn, n) // block start -> live-in
+	clear(liveIn)
+	f.liveOut, f.liveIn = liveOut, liveIn
 	// Block starts, in order.
-	var starts []int
-	for pc := 0; pc <= n; pc++ {
-		if pc < n && f.leader[pc] {
+	starts := f.starts[:0]
+	for pc := 0; pc < n; pc++ {
+		if f.leader[pc] {
 			starts = append(starts, pc)
 		}
 	}
-	liveIn := make(map[int]uint64, len(starts)) // block start -> live-in
+	f.starts = starts
 	inAt := func(pc int) uint64 {
 		if pc < 0 || pc >= n {
 			return allRegs
@@ -420,12 +483,14 @@ func absorb(host, victim *Inst) bool {
 }
 
 // deadWrites marks pure register writes whose destination is dead for
-// removal, absorbing each one's modeled cost into an adjacent instruction
-// that executes exactly when it would have. NOPs are absorbed the same way
-// (zero cost, one instruction of count).
-func (f *fuser) deadWrites() []bool {
+// removal in f.kill, absorbing each one's modeled cost into an adjacent
+// instruction that executes exactly when it would have. NOPs are absorbed
+// the same way (zero cost, one instruction of count).
+func (f *fuser) deadWrites() {
 	n := len(f.code)
-	kill := make([]bool, n)
+	f.kill = resize(f.kill, n)
+	clear(f.kill)
+	kill := f.kill
 	liveOut := f.liveness()
 	for pc := 0; pc < n; pc++ {
 		in := &f.code[pc]
@@ -457,15 +522,19 @@ func (f *fuser) deadWrites() []bool {
 			f.stats.DeadWritesAbsorbed++
 		}
 	}
-	return kill
 }
 
-// compact removes killed slots, remapping branch targets, attribution
-// tables, the external reference sets and the cumulative PCMap. XFER
-// targets point into the parent segment and are never touched.
-func (f *fuser) compact(kill []bool) {
+// compact removes the slots marked in f.kill, remapping branch targets,
+// attribution tables, the external reference sets and the cumulative
+// PCMap. XFER targets point into the parent segment and are never touched.
+// The rewrite is in place: a surviving pc only moves down (newpc[pc] <=
+// pc), so writing slot newpc[pc] front to back never clobbers a slot that
+// is still to be read.
+func (f *fuser) compact() {
 	n := len(f.code)
-	newpc := make([]int, n+1)
+	kill := f.kill
+	newpc := resize(f.newpc, n+1)
+	f.newpc = newpc
 	j := 0
 	for pc := 0; pc < n; pc++ {
 		newpc[pc] = j
@@ -477,21 +546,18 @@ func (f *fuser) compact(kill []bool) {
 	if j == n {
 		return // nothing killed
 	}
-	code := make([]Inst, 0, j)
-	var regionOf []int16
-	var setupOf []bool
-	extern := make([]bool, j+1)
-	entry := make([]bool, j+1)
+	// A killed pc's extern/entry bits land on the next survivor (or the
+	// end), so they accumulate until a survivor is written.
+	ext, ent := false, false
 	for pc := 0; pc < n; pc++ {
-		if f.extern[pc] {
-			extern[newpc[pc]] = true
-		}
-		if f.entry[pc] {
-			entry[newpc[pc]] = true
-		}
+		ext = ext || f.extern[pc]
+		ent = ent || f.entry[pc]
 		if kill[pc] {
 			continue
 		}
+		at := newpc[pc]
+		f.extern[at], f.entry[at] = ext, ent
+		ext, ent = false, false
 		in := f.code[pc]
 		switch in.Op {
 		case BEQZ, BNEZ, BEQI, BR, CMPBR, CMPBRI:
@@ -499,28 +565,28 @@ func (f *fuser) compact(kill []bool) {
 				in.Target = newpc[in.Target]
 			}
 		}
-		code = append(code, in)
+		f.code[at] = in
 		if f.regionOf != nil {
-			regionOf = append(regionOf, f.regionOf[pc])
+			f.regionOf[at] = f.regionOf[pc]
 		}
 		if f.setupOf != nil {
-			setupOf = append(setupOf, f.setupOf[pc])
+			f.setupOf[at] = f.setupOf[pc]
 		}
 	}
-	if f.extern[n] {
-		extern[j] = true
-	}
-	if f.entry[n] {
-		entry[j] = true
-	}
+	f.extern[j] = ext || f.extern[n]
+	f.entry[j] = ent || f.entry[n]
 	for i := range f.pcMap {
 		f.pcMap[i] = newpc[f.pcMap[i]]
 	}
-	f.code = code
-	f.regionOf = regionOf
-	f.setupOf = setupOf
-	f.extern = extern
-	f.entry = entry
+	f.code = f.code[:j]
+	f.extern = f.extern[:j+1]
+	f.entry = f.entry[:j+1]
+	if f.regionOf != nil {
+		f.regionOf = f.regionOf[:j]
+	}
+	if f.setupOf != nil {
+		f.setupOf = f.setupOf[:j]
+	}
 }
 
 // cmpSub returns the reg-form compare sub-op for a fusable compare, the
@@ -546,13 +612,15 @@ func ldSub(op Op) bool {
 	return false
 }
 
-// fusePairs collapses adjacent instruction pairs into superinstructions.
-// A pair fuses only when the second slot has no other predecessors, both
-// halves share attribution, and the intermediate register dies with the
-// pair.
-func (f *fuser) fusePairs() []bool {
+// fusePairs collapses adjacent instruction pairs into superinstructions,
+// marking each absorbed second half in f.kill. A pair fuses only when the
+// second slot has no other predecessors, both halves share attribution,
+// and the intermediate register dies with the pair.
+func (f *fuser) fusePairs() {
 	n := len(f.code)
-	kill := make([]bool, n)
+	f.kill = resize(f.kill, n)
+	clear(f.kill)
+	kill := f.kill
 	liveOut := f.liveness()
 	for pc := 0; pc+1 < n; pc++ {
 		if kill[pc] || f.leader[pc+1] || !f.sameAttr(pc, pc+1) {
@@ -632,7 +700,6 @@ func (f *fuser) fusePairs() []bool {
 		*counter++
 		pc++ // the killed slot cannot start another pair
 	}
-	return kill
 }
 
 // threadJumps retargets BR instructions that land on another BR, absorbing

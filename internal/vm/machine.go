@@ -212,10 +212,11 @@ func (m *Machine) trapUnwind(pl *execPlan, pc, blkEnd int, region int32, setup b
 	if blkEnd <= pc+1 {
 		return
 	}
-	over := pl.costTo[blkEnd] - pl.costTo[pc+1]
-	xover := pl.xtraTo[blkEnd] - pl.xtraTo[pc+1]
+	end, from := &pl.sums[blkEnd], &pl.sums[pc+1]
+	over := end.cost - from.cost
+	xover := end.xtra - from.xtra
 	m.Cycles -= over + xover
-	m.Insts -= pl.instsTo[blkEnd] - pl.instsTo[pc+1]
+	m.Insts -= end.insts - from.insts
 	if region >= 0 {
 		rc := m.Region(int(region))
 		if setup {
@@ -351,7 +352,7 @@ func (m *Machine) run(seg *Segment) (int64, error) {
 		}
 		exact := false
 		if pc >= blkEnd {
-			b := &pl.blocks[pl.blockAt[pc]]
+			b := &pl.blocks[pl.info[pc].block]
 			if m.Trace == nil && pc == int(b.start) && m.Cycles+b.cost+b.xtra <= m.limit {
 				// Charge the whole straight-line block up front.
 				m.Insts += b.insts
@@ -383,16 +384,17 @@ func (m *Machine) run(seg *Segment) (int64, error) {
 		in := &code[pc]
 		if exact {
 			// Seed-identical per-instruction accounting.
-			c := uint64(pl.costAt[pc])
-			m.Insts += uint64(pl.instsAt[pc])
-			if r := pl.regionAt[pc]; r != atRegion {
+			pi := &pl.info[pc]
+			c := uint64(pi.cost)
+			m.Insts += uint64(pi.insts)
+			if r := pi.region; r != atRegion {
 				atRegion = r
 				atRC = nil
 				if r >= 0 {
 					atRC = m.Region(int(r))
 				}
 			}
-			atSetup = pl.setupAt[pc]
+			atSetup = pi.setup
 			if atRC != nil {
 				if atSetup {
 					atRC.SetupCycles += c
@@ -400,7 +402,7 @@ func (m *Machine) run(seg *Segment) (int64, error) {
 					atRC.ExecCycles += c
 				}
 			}
-			if e := pl.entryAt[pc]; e >= 0 {
+			if e := pi.entry; e >= 0 {
 				m.Region(int(e)).Invocations++
 			}
 			m.Cycles += c

@@ -27,44 +27,48 @@ type planBlock struct {
 	setup  bool   // attribute cost to SetupCycles instead of ExecCycles
 }
 
+// pcInfo is the exact-mode record for one instruction (trace mode,
+// budget-near mode, mid-block entry), reproducing the seed's
+// per-instruction accounting.
+type pcInfo struct {
+	region int32  // attributed region, or -1
+	entry  int32  // region invoked when this pc executes, or -1
+	block  int32  // index of the enclosing block
+	cost   uint16 // StaticCost of the instruction
+	insts  uint8  // InstCount of the instruction
+	setup  bool   // attribute cost to SetupCycles instead of ExecCycles
+}
+
+// pcSums holds prefix sums over the instructions before a pc, for
+// unwinding a block's pre-charge when an instruction traps mid-block:
+// sums[i].cost = sum of StaticCost over pcs [0, i).
+type pcSums struct {
+	cost  uint64
+	xtra  uint64 // machine-only cycles (wide-LI penalties)
+	insts uint64
+}
+
 // execPlan is the per-segment derived plan. It is machine-independent
 // (indices, never counter pointers: a machine's region slice may grow) and
 // immutable once built, so all machines running the segment share it.
+// It is laid out in four allocations: the plan itself, one pcInfo slab,
+// one prefix-sum slab and the exactly sized block table.
 type execPlan struct {
-	blocks  []planBlock
-	blockAt []int32 // pc -> index of the enclosing block
-
-	// Exact-mode per-pc tables (trace mode, budget-near mode, mid-block
-	// entry) reproducing the seed's per-instruction accounting.
-	costAt   []uint16 // StaticCost of each instruction
-	regionAt []int32
-	setupAt  []bool
-	entryAt  []int32
-	instsAt  []uint8
-
-	// Prefix sums (len+1 entries) for unwinding a block's pre-charge when
-	// an instruction traps mid-block: costTo[i] = sum of costAt[0..i).
-	costTo  []uint64
-	xtraTo  []uint64
-	instsTo []uint64
+	blocks []planBlock
+	info   []pcInfo // per pc
+	sums   []pcSums // len+1 entries
 }
 
 // buildPlan derives the execution plan from an immutable segment.
 func buildPlan(seg *Segment) *execPlan {
 	n := len(seg.Code)
 	p := &execPlan{
-		blockAt:  make([]int32, n),
-		costAt:   make([]uint16, n),
-		regionAt: make([]int32, n),
-		setupAt:  make([]bool, n),
-		entryAt:  make([]int32, n),
-		instsAt:  make([]uint8, n),
-		costTo:   make([]uint64, n+1),
-		xtraTo:   make([]uint64, n+1),
-		instsTo:  make([]uint64, n+1),
+		info: make([]pcInfo, n),
+		sums: make([]pcSums, n+1),
 	}
 
-	// Per-pc attribution, mirroring the seed's per-step re-derivation.
+	// Per-pc attribution, mirroring the seed's per-step re-derivation,
+	// and prefix sums.
 	for pc := range seg.Code {
 		r, setup := int32(-1), false
 		if seg.Stitched && seg.Region >= 0 {
@@ -73,44 +77,42 @@ func buildPlan(seg *Segment) *execPlan {
 			r = int32(seg.RegionOf[pc])
 			setup = seg.SetupOf != nil && pc < len(seg.SetupOf) && seg.SetupOf[pc]
 		}
-		p.regionAt[pc] = r
-		p.setupAt[pc] = setup
-		p.entryAt[pc] = -1
 		in := &seg.Code[pc]
-		p.costAt[pc] = uint16(StaticCost(in))
-		p.instsAt[pc] = uint8(InstCount(in))
-	}
-	if seg.RegionEntry != nil {
-		for pc, r := range seg.RegionEntry {
-			if pc < n && r >= 0 {
-				p.entryAt[pc] = r
-			}
+		pi := &p.info[pc]
+		*pi = pcInfo{
+			region: r,
+			entry:  -1,
+			cost:   uint16(StaticCost(in)),
+			insts:  uint8(InstCount(in)),
+			setup:  setup,
 		}
-	}
-
-	// Prefix sums.
-	for pc := 0; pc < n; pc++ {
 		xtra := uint64(0)
-		if in := &seg.Code[pc]; in.Op == LI && !FitsImm(in.Imm) {
+		if in.Op == LI && !FitsImm(in.Imm) {
 			xtra = 1 // wide-constant penalty: machine cycles only
 		}
-		p.costTo[pc+1] = p.costTo[pc] + uint64(p.costAt[pc])
-		p.xtraTo[pc+1] = p.xtraTo[pc] + xtra
-		p.instsTo[pc+1] = p.instsTo[pc] + uint64(p.instsAt[pc])
+		s := p.sums[pc]
+		p.sums[pc+1] = pcSums{
+			cost:  s.cost + uint64(pi.cost),
+			xtra:  s.xtra + xtra,
+			insts: s.insts + uint64(pi.insts),
+		}
+	}
+	for pc, r := range seg.RegionEntry {
+		if pc < n && r >= 0 {
+			p.info[pc].entry = r
+		}
 	}
 
 	// Block leaders: entry, branch targets, jump-table entries,
 	// instructions after a control transfer, attribution changes and
-	// region-entry markers.
-	leader := make([]bool, n+1)
-	if n > 0 {
-		leader[0] = true
-	}
+	// region-entry markers. Until the blocks are laid out, info[pc].block
+	// is the leader flag (1 for a leader, 0 otherwise).
 	mark := func(pc int) {
-		if pc >= 0 && pc <= n {
-			leader[pc] = true
+		if pc >= 0 && pc < n {
+			p.info[pc].block = 1
 		}
 	}
+	mark(0)
 	for pc, in := range seg.Code {
 		switch in.Op {
 		case BEQZ, BNEZ, BEQI, CMPBR, CMPBRI:
@@ -130,35 +132,39 @@ func buildPlan(seg *Segment) *execPlan {
 			mark(t)
 		}
 	}
-	for pc := 1; pc < n; pc++ {
-		if p.regionAt[pc] != p.regionAt[pc-1] || p.setupAt[pc] != p.setupAt[pc-1] {
-			leader[pc] = true
+	nblocks := 0
+	for pc := 0; pc < n; pc++ {
+		if pc > 0 {
+			a, b := &p.info[pc-1], &p.info[pc]
+			if b.region != a.region || b.setup != a.setup || b.entry >= 0 {
+				b.block = 1
+			}
 		}
-		if p.entryAt[pc] >= 0 {
-			leader[pc] = true
-		}
+		nblocks += int(p.info[pc].block)
 	}
 
 	// Lay out blocks and sum their costs.
+	p.blocks = make([]planBlock, 0, nblocks)
 	for pc := 0; pc < n; {
 		end := pc + 1
-		for end < n && !leader[end] {
+		for end < n && p.info[end].block == 0 {
 			end++
 		}
+		pi := &p.info[pc]
 		b := planBlock{
 			start:  int32(pc),
 			end:    int32(end),
-			cost:   p.costTo[end] - p.costTo[pc],
-			xtra:   p.xtraTo[end] - p.xtraTo[pc],
-			insts:  p.instsTo[end] - p.instsTo[pc],
-			region: p.regionAt[pc],
-			setup:  p.setupAt[pc],
-			entry:  p.entryAt[pc],
+			cost:   p.sums[end].cost - p.sums[pc].cost,
+			xtra:   p.sums[end].xtra - p.sums[pc].xtra,
+			insts:  p.sums[end].insts - p.sums[pc].insts,
+			region: pi.region,
+			setup:  pi.setup,
+			entry:  pi.entry,
 		}
 		bi := int32(len(p.blocks))
 		p.blocks = append(p.blocks, b)
 		for i := pc; i < end; i++ {
-			p.blockAt[i] = bi
+			p.info[i].block = bi
 		}
 		pc = end
 	}

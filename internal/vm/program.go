@@ -2,6 +2,7 @@ package vm
 
 import (
 	"fmt"
+	"strings"
 	"sync/atomic"
 	"unsafe"
 )
@@ -74,11 +75,11 @@ func (s *Segment) MemFootprint() int {
 
 // Disasm renders the segment as assembly.
 func (s *Segment) Disasm() string {
-	out := ""
+	var b strings.Builder
 	for i, in := range s.Code {
-		out += fmt.Sprintf("%4d: %s\n", i, in)
+		fmt.Fprintf(&b, "%4d: %s\n", i, in)
 	}
-	return out
+	return b.String()
 }
 
 // Program is a complete executable image.
