@@ -7,10 +7,12 @@ all: check
 # Tier 1: everything builds, gofmt and vet are clean (the separate
 # perfbench module included, so a public-API edit that would break the
 # benchmark fails here), the full suite passes, the
-# cache/eviction/async-stitch machinery, the VM and the stitcher (whose
-# pooled fusion and emission scratch is shared by concurrent stitches and
-# CompileBatch workers) and the fixed-seed differential sweep (inline and
-# background stitching against the reference) pass under the race
+# cache/eviction/async-stitch machinery (five passes: the stitch producer's
+# fence and singleflight latch are timing-sensitive), the VM and the
+# stitcher (whose pooled fusion and emission scratch is shared by
+# concurrent stitches and CompileBatch workers) and the fixed-seed
+# differential sweep (inline and background stitching against the
+# reference) pass under the race
 # detector (fast enough for every check run; `race` still covers the
 # whole tree), batch compilation gets a
 # race-enabled Compile/CompileBatch stress run, a fixed-seed differential
@@ -32,7 +34,7 @@ check:
 	$(GO) vet ./...
 	GOWORK=off $(GO) -C perfbench vet ./...
 	$(GO) test ./...
-	$(GO) test -race -timeout 120s ./internal/rtr
+	$(GO) test -race -count 5 -timeout 120s ./internal/rtr
 	$(GO) test -race -timeout 120s ./internal/vm ./internal/stitcher
 	$(GO) test -race -short -timeout 120s -run 'TestDifferentialFixedSeeds' ./internal/testgen
 	$(GO) test -race -timeout 120s -run 'TestPersistentStoreRoundTrip' .

@@ -116,59 +116,9 @@ type Config struct {
 // diagnostic retention, and — for compatibility — unbounded retention at
 // both cache levels. Servers with high-cardinality keys (user ids, query
 // shapes) should set MaxEntries and MachineMaxEntries: without caps every
-// distinct key is retained forever.
-type CacheOptions struct {
-	// KeepStitched retains stitched segments in the runtime for
-	// diagnostics (disassembly, golden tests). Off by default so
-	// long-running servers don't hold every segment ever stitched.
-	// KeepStitchedCap bounds the retention (0 = default 512 segments).
-	KeepStitched    bool
-	KeepStitchedCap int
-	// Shards overrides the shared-cache shard count (0 = default 32,
-	// rounded up to a power of two).
-	Shards int
-	// NoShare disables cross-machine sharing of stitched code: every
-	// machine stitches its own segments, and concurrent stitches of the
-	// same specialization are no longer deduplicated.
-	NoShare bool
-	// MaxEntries / MaxCodeBytes bound the shared cache (segments resident
-	// across all machines; 0 = unbounded) with a sharded CLOCK policy.
-	// In-flight stitches are pinned and never evicted.
-	MaxEntries   int
-	MaxCodeBytes int64
-	// MaxEntriesPerRegion / MaxCodeBytesPerRegion bound any single
-	// region's share of the cache (0 = unbounded).
-	MaxEntriesPerRegion   int
-	MaxCodeBytesPerRegion int64
-	// MachineMaxEntries bounds each machine's private cache (segments
-	// across regions, 0 = unbounded) with second-chance FIFO eviction.
-	MachineMaxEntries int
-	// ChurnStats enables the per-region churn histogram (CacheChurn).
-	ChurnStats bool
-	// AsyncStitch moves stitching of keyed shareable regions to a bounded
-	// pool of background workers: a cold key's call runs the region on a
-	// generic (unspecialized) fallback tier and returns immediately; the
-	// stitched specialization is adopted on a later call once published.
-	// Call WaitIdle to quiesce and Close to release the workers.
-	AsyncStitch bool
-	// StitchWorkers / StitchQueue size the background pool (0 = defaults:
-	// 2 workers, a 64-deep queue). When the queue is full, cold keys are
-	// not enqueued (QueueRejects) and simply run on the fallback tier —
-	// backpressure never blocks a caller.
-	StitchWorkers int
-	StitchQueue   int
-	// Store plugs in a persistent (level-0) code cache behind the shared
-	// cache: on a keyed-shareable miss the runtime consults the store for a
-	// previously persisted stitch of the same specialization before
-	// stitching, and publishes new stitches back asynchronously — a warm
-	// store turns process restarts into cache hits. See OpenDirStore for
-	// the on-disk implementation and DESIGN.md "Persistent cache tier".
-	Store CacheStore
-	// StoreQueue bounds the asynchronous store-publish queue (0 = default
-	// 256). When full, publishes are dropped (StoreErrors) — persistence
-	// is best-effort and never blocks the stitch path.
-	StoreQueue int
-}
+// distinct key is retained forever. Store takes any CacheStore (see
+// OpenDirStore and DESIGN.md "Persistent cache tier").
+type CacheOptions = rtr.CacheOptions
 
 // CacheStore is the pluggable persistent-cache interface: a
 // content-addressed blob store keyed by digest. Get returns (nil, nil) on
@@ -218,23 +168,7 @@ func (cfg Config) coreConfig() core.Config {
 			NoFuse:              cfg.NoFuse,
 			RegisterActions:     cfg.RegisterActions,
 		},
-		Cache: rtr.CacheOptions{
-			KeepStitched:          cfg.Cache.KeepStitched,
-			KeepStitchedCap:       cfg.Cache.KeepStitchedCap,
-			Shards:                cfg.Cache.Shards,
-			NoShare:               cfg.Cache.NoShare,
-			MaxEntries:            cfg.Cache.MaxEntries,
-			MaxCodeBytes:          cfg.Cache.MaxCodeBytes,
-			MaxEntriesPerRegion:   cfg.Cache.MaxEntriesPerRegion,
-			MaxCodeBytesPerRegion: cfg.Cache.MaxCodeBytesPerRegion,
-			MachineMaxEntries:     cfg.Cache.MachineMaxEntries,
-			ChurnStats:            cfg.Cache.ChurnStats,
-			AsyncStitch:           cfg.Cache.AsyncStitch,
-			StitchWorkers:         cfg.Cache.StitchWorkers,
-			StitchQueue:           cfg.Cache.StitchQueue,
-			Store:                 cfg.Cache.Store,
-			StoreQueue:            cfg.Cache.StoreQueue,
-		},
+		Cache: cfg.Cache,
 	}
 }
 
@@ -453,98 +387,25 @@ func (p *Program) CompileStats() []PassStat {
 
 // RuntimeCacheStats summarizes the stitch-cache lifecycle across every
 // machine of a program: stitch counts, lookup outcomes, eviction churn and
-// resident footprint. All counters are monotonic except the Resident
-// gauges, and lookups obey
+// resident footprint, plus the tiered-execution, store and promotion
+// counters (see rtr.CacheStats for each field). All counters are
+// monotonic except the Resident gauges, and lookups obey
 //
 //	Lookups == SharedHits + Waits + FailedHits + Misses
+//
+// PromoteQuantile bounds a quantile of the background publish latency.
 type RuntimeCacheStats struct {
-	Lookups    uint64
-	SharedHits uint64
-	Waits      uint64
-	FailedHits uint64
-	Misses     uint64
-
-	Stitches       uint64
-	FailedStitches uint64
+	rtr.CacheStats
 	// StencilStitches is always 0. The copy-and-patch stencil emission
 	// path it counted was removed, and every stitch now runs the one
 	// interpretive stitcher. The field stays so existing readers of
 	// RuntimeCacheStats keep compiling.
 	StencilStitches uint64
-
-	Evictions     uint64
-	Restitches    uint64
-	Invalidations uint64
-	L2Evictions   uint64
-
-	EntriesResident uint64
-	BytesResident   uint64
-	PeakEntries     uint64
-
-	// Tiered execution (Config.Cache.AsyncStitch; all zero without it).
-	AsyncStitches uint64 // stitches completed by background workers
-	FallbackRuns  uint64 // region executions on the generic fallback tier
-	QueueRejects  uint64 // cold keys dropped because the stitch queue was full
-	AsyncDiscards uint64 // background stitches discarded by invalidation
-
-	// PromoteLatency histograms background schedule-to-publish latency:
-	// bucket i counts publishes in [2^(i-1), 2^i) nanoseconds.
-	PromoteLatency [rtr.PromoteBuckets]uint64
-
-	// Persistent (level-0) store tier (Config.Cache.Store; all zero
-	// without it). Store consults happen after the level-1 lookup was
-	// classified, so the lookup invariant above is untouched; each consult
-	// increments exactly one of StoreHits / StoreMisses / StoreErrors.
-	StoreHits   uint64 // stitch sites served by a persisted segment
-	StoreMisses uint64 // store consults that found nothing
-	StorePuts   uint64 // segments successfully published to the store
-	StoreErrors uint64 // store I/O or decode failures, plus dropped queue ops
-
-	// Speculative promotion (Config.AutoRegion; all zero without it).
-	// Each Deopt also counts an Invalidation: demotion orphans the
-	// region's stale stitches through the regular invalidation path.
-	Promotions uint64 // automatic regions promoted from profiling to stitching
-	Deopts     uint64 // guard-failure demotions back to profiling
-}
-
-// PromoteQuantile returns an upper bound on the q-quantile (0 < q <= 1) of
-// the background publish latency in nanoseconds, or zero if nothing was
-// published by background workers.
-func (rs RuntimeCacheStats) PromoteQuantile(q float64) uint64 {
-	cs := rtr.CacheStats{PromoteLatency: rs.PromoteLatency}
-	return cs.PromoteQuantile(q)
 }
 
 // CacheStats reports shared stitch-cache behaviour for this program.
 func (p *Program) CacheStats() RuntimeCacheStats {
-	cs := p.c.Runtime.CacheStats()
-	return RuntimeCacheStats{
-		Lookups:         cs.Lookups,
-		SharedHits:      cs.SharedHits,
-		Waits:           cs.Waits,
-		FailedHits:      cs.FailedHits,
-		Misses:          cs.Misses,
-		Stitches:        cs.Stitches,
-		FailedStitches:  cs.FailedStitches,
-		Evictions:       cs.Evictions,
-		Restitches:      cs.Restitches,
-		Invalidations:   cs.Invalidations,
-		L2Evictions:     cs.L2Evictions,
-		EntriesResident: cs.EntriesResident,
-		BytesResident:   cs.BytesResident,
-		PeakEntries:     cs.PeakEntries,
-		AsyncStitches:   cs.AsyncStitches,
-		FallbackRuns:    cs.FallbackRuns,
-		QueueRejects:    cs.QueueRejects,
-		AsyncDiscards:   cs.AsyncDiscards,
-		PromoteLatency:  cs.PromoteLatency,
-		StoreHits:       cs.StoreHits,
-		StoreMisses:     cs.StoreMisses,
-		StorePuts:       cs.StorePuts,
-		StoreErrors:     cs.StoreErrors,
-		Promotions:      cs.Promotions,
-		Deopts:          cs.Deopts,
-	}
+	return RuntimeCacheStats{CacheStats: p.c.Runtime.CacheStats()}
 }
 
 // WaitIdle blocks until every scheduled background stitch has been
@@ -564,27 +425,11 @@ func (p *Program) Close() { p.c.Runtime.Close() }
 // post-eviction re-stitches a region has seen. Rising Evictions plus
 // Restitches means the region's specialization working set exceeds the
 // configured caps.
-type RegionCacheChurn struct {
-	Region     int
-	Stitches   uint64
-	Evictions  uint64
-	Restitches uint64
-}
+type RegionCacheChurn = rtr.RegionChurn
 
 // CacheChurn returns the per-region churn histogram, or nil unless
 // Config.Cache.ChurnStats was set.
-func (p *Program) CacheChurn() []RegionCacheChurn {
-	rows := p.c.Runtime.Churn()
-	if rows == nil {
-		return nil
-	}
-	out := make([]RegionCacheChurn, len(rows))
-	for i, r := range rows {
-		out[i] = RegionCacheChurn{Region: r.Region, Stitches: r.Stitches,
-			Evictions: r.Evictions, Restitches: r.Restitches}
-	}
-	return out
-}
+func (p *Program) CacheChurn() []RegionCacheChurn { return p.c.Runtime.Churn() }
 
 // Invalidate flushes every cached specialization of region r, across the
 // shared cache and every machine's private cache (detected by a

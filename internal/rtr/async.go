@@ -15,14 +15,16 @@
 //     completes at roughly statically-compiled speed while the stitch
 //     happens elsewhere.
 //
-// A worker re-derives the region's run-time constants table from the key
+// A worker runs the same producer as an inline miss (produce, cache.go)
+// on the claim the scheduling machine won; only the table differs. The
+// producer re-derives the region's run-time constants table from the key
 // bytes alone (Runtime.KeySetup, installed by the compiler for regions it
 // proved Shareable — set-up provably depends only on the key values, so
-// the worker needs no machine), stitches against a private arena, and
-// publishes under the shard lock with exactly the same generation fencing
-// as the inline path: an entry invalidated (or explicitly flushed) while
-// in flight is discarded, never published (CacheStats.AsyncDiscards).
-// Eviction interacts as always — in-flight entries are pinned because only
+// the worker needs no machine) in a pooled arena, so the store consult,
+// guard wrap, generation fence, publish and store put-back are the inline
+// ones: an entry invalidated (or explicitly flushed) while in flight is
+// discarded, never published (CacheStats.AsyncDiscards). Eviction
+// interacts as always — in-flight entries are pinned because only
 // published entries join the CLOCK ring, and publishing makes room first.
 //
 // Promotion: the published entry is found by the very next lookupShared of
@@ -69,13 +71,12 @@ var (
 	errRuntimeClosed  = errors.New("rtr: runtime closed")
 )
 
-// stitchJob is one queued background stitch. The entry was already claimed
-// (mapped in its shard) by the scheduling machine.
+// stitchJob is one queued background stitch: the claim the scheduling
+// machine won, with the claim-time generation.
 type stitchJob struct {
-	region int
-	key    string
-	e      *entry
-	enq    time.Time
+	e   *entry
+	gen uint64
+	enq time.Time
 }
 
 // genericSlot lazily caches a region's generic-tier segment (guarded by
@@ -125,26 +126,9 @@ func (rt *Runtime) generic(region int) *vm.Segment {
 // (backpressure): callers stay on the fallback tier and a later miss
 // retries.
 func (rt *Runtime) schedule(region int, ks string) {
-	sh := rt.shardFor(region, ks)
-	ck := cacheKey{region: region, key: ks}
-	sh.mu.Lock()
-	if _, ok := sh.entries[ck]; ok {
-		sh.mu.Unlock()
+	e, won, gen := rt.claim(region, ks)
+	if !won {
 		return
-	}
-	e := &entry{key: ck, gen: rt.gens[region].Load(),
-		done: make(chan struct{}), slot: -1}
-	sh.entries[ck] = e
-	sh.mu.Unlock()
-
-	withdraw := func(reason error) {
-		e.err = reason
-		sh.mu.Lock()
-		if sh.entries[ck] == e {
-			delete(sh.entries, ck)
-		}
-		sh.mu.Unlock()
-		close(e.done)
 	}
 	// The quit-check and the send happen under closeMu's read side so they
 	// are atomic with respect to Close: either the job is enqueued before
@@ -159,20 +143,20 @@ func (rt *Runtime) schedule(region int, ks string) {
 		// the claim forever. Withdraw it; callers keep running on the
 		// fallback tier.
 		rt.closeMu.RUnlock()
-		withdraw(errRuntimeClosed)
+		rt.withdraw(e, errRuntimeClosed)
 		return
 	default:
 	}
 	rt.startWorkers()
 	rt.inflight.Add(1)
 	select {
-	case rt.jobs <- stitchJob{region: region, key: ks, e: e, enq: time.Now()}:
+	case rt.jobs <- stitchJob{e: e, gen: gen, enq: time.Now()}:
 		rt.closeMu.RUnlock()
 	default:
 		rt.closeMu.RUnlock()
 		rt.inflight.Add(-1)
 		rt.queueRejects.Add(1)
-		withdraw(errAsyncQueueFull)
+		rt.withdraw(e, errAsyncQueueFull)
 	}
 }
 
@@ -229,103 +213,26 @@ func putKeyArena(arena *[]int64, mem []int64) {
 	keyArenaPool.Put(arena)
 }
 
-// runJob performs one background stitch: re-derive the table from the key
-// bytes, stitch, and publish with generation fencing.
+// runJob produces one background stitch against a table rebuilt from the
+// key bytes alone. Beyond produce's own accounting it counts the async
+// tier: an AsyncStitch per stitch, an AsyncDiscard per stitch the fence
+// declined, and the promote latency of every publish (a store adoption
+// counts only its latency — nothing was stitched).
 func (rt *Runtime) runJob(job stitchJob) {
 	defer rt.inflight.Add(-1)
-	r := rt.Regions[job.region]
-	e := job.e
-
-	if rt.storeEnabled() {
-		// Level-0 consult, mirroring the inline winner (see stitchShared):
-		// a persisted specialization is adopted without re-deriving the
-		// table or stitching. Counted as neither an async stitch nor a
-		// discard — nothing was stitched. The digest uses a fresh
-		// generation load, not e.gen: e is shared with InvalidateKey's
-		// sibling sweep, which refreshes e.gen under the shard lock.
-		if seg := rt.storeLoad(job.region, rt.gens[job.region].Load(), job.key); seg != nil {
-			if rt.adoptStored(job.region, e, seg) {
-				rt.notePromote(time.Since(job.enq))
-			}
-			return
-		}
-	}
-
-	var (
-		seg   *vm.Segment
-		stats stitcher.Stats
-		err   error
-	)
-	keyVals, err := decodeKey(job.key, len(r.KeyRegs))
-	if err == nil {
-		arena := keyArenaPool.Get().(*[]int64)
-		var (
-			mem []int64
-			tbl int64
-		)
-		mem, tbl, err = rt.KeySetup[job.region](keyVals, *arena)
-		if err == nil {
-			seg, stats, err = stitcher.Stitch(r, mem, tbl, rt.Prog.Segs[r.FuncID], rt.Opts.Stitcher)
-		}
-		putKeyArena(arena, mem)
-		if err == nil {
-			// Auto regions: guard-wrap before publish/persist (promote.go).
-			seg, err = guardStitch(r, seg, job.key)
-		}
-	}
-	e.seg, e.err = seg, err
-	close(e.done)
-
-	sh := rt.shardFor(job.region, job.key)
-	ck := e.key
-	reserved := err == nil && rt.reserveEntry(sh) // before the lock, as in stitchShared
-	sh.mu.Lock()
+	p, err := rt.produce(nil, 0, job.e.key.region, job.e.key.key, job.e, job.gen)
 	if err != nil {
-		sh.failedStitches++
-		if sh.entries[ck] == e {
-			delete(sh.entries, ck)
-		}
-		sh.mu.Unlock()
 		return
 	}
-	rt.asyncStitches.Add(1)
-	sh.stitches++
-	sh.addStatsLocked(job.region, &stats)
-	e.bytes = int64(seg.MemFootprint())
-	restitch := sh.evicted.remove(ck)
-	if restitch {
-		sh.restitches++
-	}
-	if rt.Opts.Cache.ChurnStats {
-		c := sh.churnLocked(job.region)
-		c.Stitches++
-		if restitch {
-			c.Restitches++
+	if p.stitched {
+		rt.asyncStitches.Add(1)
+		if !p.kept {
+			rt.asyncDiscards.Add(1)
 		}
 	}
-	if !reserved || e.gen != rt.gens[job.region].Load() || sh.entries[ck] != e {
-		// Invalidated (or explicitly flushed) while in flight, or the
-		// cache is full of publishes in progress: discard. Unlike the
-		// inline path there are no waiters to serve — fallback callers
-		// never block on the latch.
-		if sh.entries[ck] == e {
-			delete(sh.entries, ck)
-		}
-		sh.mu.Unlock()
-		if reserved {
-			rt.releaseEntry()
-		}
-		rt.asyncDiscards.Add(1)
-		return
+	if p.kept {
+		rt.notePromote(time.Since(job.enq))
 	}
-	rt.makeRoomLocked(sh, job.region, e.bytes)
-	sh.publishLocked(rt, e)
-	putGen := e.gen // snapshot under the lock; sibling sweeps may refresh it
-	sh.mu.Unlock()
-	rt.storePut(job.region, putGen, job.key, seg)
-	rt.notePromote(time.Since(job.enq))
-	rt.reclaim(job.region)
-	rt.keepStitched(job.region, seg)
 }
 
 // decodeKey reverses appendKey/encodeKey: n varint-encoded key-register
@@ -403,14 +310,7 @@ func (rt *Runtime) closeAsync() {
 		for {
 			select {
 			case job := <-rt.jobs:
-				job.e.err = errRuntimeClosed
-				sh := rt.shardFor(job.region, job.key)
-				sh.mu.Lock()
-				if sh.entries[job.e.key] == job.e {
-					delete(sh.entries, job.e.key)
-				}
-				sh.mu.Unlock()
-				close(job.e.done)
+				rt.withdraw(job.e, errRuntimeClosed)
 				rt.inflight.Add(-1)
 			default:
 				return

@@ -97,8 +97,8 @@ type CacheOptions struct {
 	StitchQueue int
 
 	// Store, when non-nil, adds a persistent content-addressed level-0
-	// tier behind the shared cache: on a keyed-shareable miss the stitch
-	// site consults the store by digest before stitching, and successful
+	// tier behind the shared cache: on a keyed-shareable miss the runtime
+	// consults the store by digest before stitching, and successful
 	// stitches are published back asynchronously, so a restarted server
 	// (or another process sharing the store) skips re-stitching its hot
 	// set. The hot path never blocks on store I/O. See store.go for the
@@ -217,7 +217,7 @@ func (rt *Runtime) shardFor(region int, key string) *shard {
 // lookupShared returns the completed segment for (region, key), or nil.
 // In-flight entries are not waited on here: DYNENTER falls through into
 // set-up instead, and the wait happens at stitch time where the in-flight
-// window is pure host code (see stitchShared).
+// window is pure host code (see stitchNow).
 //
 // Accounting invariant: every lookup increments exactly one of hits,
 // waits, failedHits or misses, so at all times
@@ -263,143 +263,178 @@ func (rt *Runtime) lookupShared(region int, key string) *vm.Segment {
 	}
 }
 
-// stitchShared produces the segment for (region, key) with singleflight:
-// exactly one goroutine runs the stitcher against its own machine's table;
-// everyone else blocks until it publishes. The window between claim and
-// publish contains only host-side stitching (no VM execution), so waiters
-// cannot be abandoned. Returns the segment, the stitch statistics and
-// stitched == true if this call was the winner (waiters get false — the
-// winner's machine already accounted the modeled cost), and any stitch
-// error.
-func (rt *Runtime) stitchShared(m *vm.Machine, region int, key string,
-	tbl int64) (seg *vm.Segment, stats stitcher.Stats, stitched bool, err error) {
-
-	r := rt.Regions[region]
+// claim returns the singleflight entry of (region, key), creating and
+// mapping one when none exists; won reports whether this call created it,
+// in which case the caller must fill it with produce or fail it with
+// withdraw. Everyone else blocks on e.done and reads e.seg/e.err. gen is
+// the region's generation at claim time. It is the one generation the
+// produced segment is named by in the store, for the consult and for the
+// put-back alike: e.gen starts equal to it but is shared state that
+// InvalidateKey's sibling sweep may refresh under the shard lock.
+func (rt *Runtime) claim(region int, key string) (e *entry, won bool, gen uint64) {
 	sh := rt.shardFor(region, key)
 	ck := cacheKey{region: region, key: key}
-
 	sh.mu.Lock()
+	defer sh.mu.Unlock()
 	if e, ok := sh.entries[ck]; ok {
-		sh.mu.Unlock()
-		<-e.done
-		// A failed stitch is deterministic for a shareable region (the
-		// output depends only on the key), so propagate the winner's error
-		// rather than re-running a stitch that would fail identically.
-		return e.seg, stitcher.Stats{}, false, e.err
+		return e, false, 0
 	}
-	claimGen := rt.gens[region].Load()
-	e := &entry{key: ck, gen: claimGen,
-		done: make(chan struct{}), slot: -1}
+	gen = rt.gens[region].Load()
+	e = &entry{key: ck, gen: gen, done: make(chan struct{}), slot: -1}
 	sh.entries[ck] = e
-	sh.mu.Unlock()
-	// From here e is shared state: InvalidateKey's sibling sweep may
-	// refresh e.gen under the shard lock, so unlocked reads use the local
-	// claimGen snapshot instead.
+	return e, true, gen
+}
 
-	if rt.storeEnabled() {
-		// Level-0: a previous process (or an earlier generation of this
-		// one) may have persisted this exact specialization. The read is
-		// synchronous but happens only here, after winning the
-		// singleflight claim — concurrent missers coalesce onto it, and
-		// the warm lookup path never sees the store. Adoption is free:
-		// no stitch is counted and no stitch cost charged (stitched ==
-		// false), exactly like adopting another machine's stitch.
-		if seg := rt.storeLoad(region, claimGen, key); seg != nil {
-			rt.adoptStored(region, e, seg)
-			return seg, stitcher.Stats{}, false, nil
+// withdraw fails a claim that will never be produced (a full stitch
+// queue, a closed runtime): waiters get err, and the key is unmapped so a
+// later miss can claim it again.
+func (rt *Runtime) withdraw(e *entry, err error) {
+	e.err = err
+	sh := rt.shardFor(e.key.region, e.key.key)
+	sh.mu.Lock()
+	if sh.entries[e.key] == e {
+		delete(sh.entries, e.key)
+	}
+	sh.mu.Unlock()
+	close(e.done)
+}
+
+// produced is the result of one produce call.
+type produced struct {
+	seg      *vm.Segment
+	stats    stitcher.Stats // zero unless stitched
+	stitched bool           // the stitcher ran (false: adopted from the store)
+	kept     bool           // published into the shared cache
+}
+
+// produce is the runtime's one stitch producer. It makes the segment for
+// (region, key) under the claim e won (nil for a region that is not
+// shared: no store, no publish) and generation gen from that claim:
+// consult the store, else build the table, stitch and guard-wrap, then
+// settle. The tier policy only chooses where produce runs and which table
+// it reads: with m set, the one at tbl in m's memory (inline or merged
+// set-up); with m nil, one KeySetup rebuilds from the key alone in a
+// pooled arena (background worker). A store hit is adopted free: the
+// caller charges the modeled stitch cost only when p.stitched.
+func (rt *Runtime) produce(m *vm.Machine, tbl int64, region int, key string,
+	e *entry, gen uint64) (p produced, err error) {
+
+	if e != nil && rt.storeEnabled() {
+		// Level 0, read only here, after winning the claim: concurrent
+		// missers coalesce onto this one read and the warm lookup path
+		// never sees the store.
+		if p.seg = rt.storeLoad(region, gen, key); p.seg != nil {
+			return rt.settle(region, key, e, gen, p, nil)
 		}
 	}
-
-	seg, stats, err = stitcher.Stitch(r, m.Mem, tbl, m.Prog.Segs[r.FuncID], rt.Opts.Stitcher)
-	if err == nil {
-		// Auto regions: wrap in deoptimization guards before the segment is
-		// published or persisted, so every consumer — waiters, adopting
-		// machines, the store — sees guarded code (see promote.go).
-		seg, err = guardStitch(r, seg, key)
+	r := rt.Regions[region]
+	var (
+		mem   []int64
+		arena *[]int64
+	)
+	if m != nil {
+		mem = m.Mem
+	} else if keyVals, kerr := decodeKey(key, len(r.KeyRegs)); kerr != nil {
+		err = kerr
+	} else {
+		arena = keyArenaPool.Get().(*[]int64)
+		mem, tbl, err = rt.KeySetup[region](keyVals, *arena)
 	}
-	e.seg, e.err = seg, err
-	close(e.done)
+	if err == nil {
+		p.seg, p.stats, err = stitcher.Stitch(r, mem, tbl, rt.Prog.Segs[r.FuncID], rt.Opts.Stitcher)
+	}
+	if arena != nil {
+		putKeyArena(arena, mem)
+	}
+	if err == nil {
+		// Auto regions: wrap in deoptimization guards before the segment
+		// is published or persisted, so every consumer sees guarded code.
+		p.seg, err = guardStitch(r, p.seg, key)
+	}
+	p.stitched = true
+	return rt.settle(region, key, e, gen, p, err)
+}
 
-	// Take the resident slot before the shard lock: reserveEntry may
-	// have to wait for other shards' locks to evict.
-	reserved := err == nil && rt.reserveEntry(sh)
+// settle finishes a produce call; its rules hold for every producer:
+//
+//   - e's latch is filled first, so its waiters get the segment or the
+//     error even when the segment is not retained (they began before any
+//     invalidation that declines it);
+//   - each failed attempt counts one FailedStitches and unmaps e; each
+//     stitch counts one Stitches, its statistics and churn, and a
+//     Restitches if its key was recently evicted (an adoption only
+//     forgets the eviction);
+//   - the fence: e is published only if a resident slot could be
+//     reserved, the region generation still equals e.gen and e is still
+//     mapped (invalidation unmaps in-flight entries); otherwise it is
+//     unmapped and nothing is retained;
+//   - a published stitch is put to the store under the claim's gen, and
+//     the caps are restored by reclaim;
+//   - every segment produced is retained for diagnostics (keepStitched).
+func (rt *Runtime) settle(region int, key string, e *entry, gen uint64,
+	p produced, err error) (produced, error) {
+
+	if e != nil {
+		e.seg, e.err = p.seg, err
+		close(e.done)
+	}
+	sh := rt.shardFor(region, key)
+	ck := cacheKey{region: region, key: key}
+	// Take the resident slot before the shard lock: reserveEntry may have
+	// to wait for other shards' locks to evict.
+	reserved := err == nil && e != nil && rt.reserveEntry(sh)
 	sh.mu.Lock()
 	if err != nil {
 		sh.failedStitches++
-		if sh.entries[ck] == e {
+		if e != nil && sh.entries[ck] == e {
 			delete(sh.entries, ck)
 		}
 		sh.mu.Unlock()
-		return seg, stats, true, err
+		return p, err
 	}
-	sh.stitches++
-	sh.addStatsLocked(region, &stats)
-	e.bytes = int64(seg.MemFootprint())
 	restitch := sh.evicted.remove(ck)
-	if restitch {
-		sh.restitches++
-	}
-	if rt.Opts.Cache.ChurnStats {
-		c := sh.churnLocked(region)
-		c.Stitches++
+	if p.stitched {
+		sh.stitches++
+		sh.addStatsLocked(region, &p.stats)
 		if restitch {
-			c.Restitches++
+			sh.restitches++
+		}
+		if rt.Opts.Cache.ChurnStats {
+			c := sh.churnLocked(region)
+			c.Stitches++
+			if restitch {
+				c.Restitches++
+			}
 		}
 	}
-	if !reserved || e.gen != rt.gens[region].Load() || sh.entries[ck] != e {
-		// The region was invalidated (or this key explicitly flushed)
-		// while we were stitching, or the cache is full of publishes in
-		// progress: serve the waiters — they began before the
-		// invalidation — but do not retain the segment.
-		if sh.entries[ck] == e {
+	if e != nil {
+		p.kept = reserved && e.gen == rt.gens[region].Load() && sh.entries[ck] == e
+		if p.kept {
+			e.bytes = int64(p.seg.MemFootprint())
+			rt.makeRoomLocked(sh, region, e.bytes)
+			sh.publishLocked(rt, e)
+		} else if sh.entries[ck] == e {
 			delete(sh.entries, ck)
 		}
-		sh.mu.Unlock()
-		if reserved {
-			rt.releaseEntry()
+	}
+	sh.mu.Unlock()
+	if p.kept {
+		if p.stitched {
+			rt.storePut(region, gen, key, p.seg)
 		}
-		return seg, stats, true, nil
+		rt.reclaim(region)
+	} else if reserved {
+		rt.releaseEntry()
 	}
-	rt.makeRoomLocked(sh, region, e.bytes)
-	sh.publishLocked(rt, e)
-	putGen := e.gen // snapshot under the lock; sibling sweeps may refresh it
-	sh.mu.Unlock()
-
-	// Publish back to the persistent tier asynchronously (post-fence: a
-	// segment the invalidation branch above declined to retain is never
-	// persisted either).
-	rt.storePut(region, putGen, key, seg)
-
-	rt.reclaim(region)
-	return seg, stats, true, nil
-}
-
-// recordStats folds one private (unshared) stitch into the shard-local
-// statistics for its (region, key).
-func (rt *Runtime) recordStats(region int, key string, stats *stitcher.Stats) {
-	sh := rt.shardFor(region, key)
-	sh.mu.Lock()
-	sh.addStatsLocked(region, stats)
-	if rt.Opts.Cache.ChurnStats {
-		sh.churnLocked(region).Stitches++
-	}
-	sh.mu.Unlock()
+	rt.keepStitched(region, p.seg)
+	return p, nil
 }
 
 func (sh *shard) addStatsLocked(region int, st *stitcher.Stats) {
 	for region >= len(sh.stats) {
 		sh.stats = append(sh.stats, stitcher.Stats{})
 	}
-	s := &sh.stats[region]
-	s.InstsStitched += st.InstsStitched
-	s.HolesPatched += st.HolesPatched
-	s.BranchesResolved += st.BranchesResolved
-	s.LoopIterations += st.LoopIterations
-	s.StrengthReductions += st.StrengthReductions
-	s.LargeConsts += st.LargeConsts
-	s.LoadsPromoted += st.LoadsPromoted
-	s.StoresPromoted += st.StoresPromoted
-	s.CyclesModeled += st.CyclesModeled
+	sh.stats[region].Add(st)
 }
 
 // churnLocked returns the shard's churn slot for region, growing the
@@ -421,16 +456,7 @@ func (rt *Runtime) Stats(r int) stitcher.Stats {
 		sh := &rt.shards[i]
 		sh.mu.Lock()
 		if r < len(sh.stats) {
-			s := &sh.stats[r]
-			out.InstsStitched += s.InstsStitched
-			out.HolesPatched += s.HolesPatched
-			out.BranchesResolved += s.BranchesResolved
-			out.LoopIterations += s.LoopIterations
-			out.StrengthReductions += s.StrengthReductions
-			out.LargeConsts += s.LargeConsts
-			out.LoadsPromoted += s.LoadsPromoted
-			out.StoresPromoted += s.StoresPromoted
-			out.CyclesModeled += s.CyclesModeled
+			out.Add(&sh.stats[r])
 		}
 		sh.mu.Unlock()
 	}

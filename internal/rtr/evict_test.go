@@ -18,8 +18,8 @@ func testRuntime(cache CacheOptions, regions int) *Runtime {
 	return New(nil, rs, Options{Cache: cache})
 }
 
-// addCompleted plants a published (resident) entry, as stitchShared would
-// after a successful stitch.
+// addCompleted plants a published (resident) entry, as produce's settle
+// does after a successful stitch, without running the stitcher.
 func addCompleted(rt *Runtime, region int, key string, seg *vm.Segment) *entry {
 	sh := rt.shardFor(region, key)
 	ck := cacheKey{region: region, key: key}

@@ -28,7 +28,8 @@ type CacheStats struct {
 	// stitch time (singleflight winners plus private stitches of
 	// non-shareable regions); the seed derived it by scanning resident
 	// entries, so failed stitches were never counted and every eviction
-	// would have silently decremented it.
+	// would have silently decremented it. FailedStitches counts every
+	// attempt whose table, stitch or guard wrap failed, shared or private.
 	Stitches       uint64
 	FailedStitches uint64
 
@@ -68,11 +69,11 @@ type CacheStats struct {
 
 	// Persistent (level-0) store tier (CacheOptions.Store; all zero
 	// without it). These extend — they do not alter — the lookup invariant
-	// above: store consults happen at stitch sites, after the level-1
+	// above: store consults happen in the stitch producer, after the level-1
 	// lookup was already classified, and each consult increments exactly
 	// one of StoreHits / StoreMisses / StoreErrors. A StoreHit is a stitch
 	// avoided, so Stitches does not count it.
-	StoreHits   uint64 // stitch sites served by a persisted segment
+	StoreHits   uint64 // stitches avoided by adopting a persisted segment
 	StoreMisses uint64 // store consults that found nothing
 	StorePuts   uint64 // segments successfully published to the store
 	StoreErrors uint64 // store I/O or decode failures, plus dropped queue ops
@@ -81,7 +82,7 @@ type CacheStats struct {
 // PromoteQuantile returns an upper bound on the q-quantile (0 < q <= 1) of
 // the publish latency, from the power-of-two histogram. Zero if nothing
 // was published.
-func (cs *CacheStats) PromoteQuantile(q float64) uint64 {
+func (cs CacheStats) PromoteQuantile(q float64) uint64 {
 	var total uint64
 	for _, n := range cs.PromoteLatency {
 		total += n
@@ -132,7 +133,6 @@ func (rt *Runtime) CacheStats() CacheStats {
 		cs.Restitches += sh.restitches
 		sh.mu.Unlock()
 	}
-	cs.Stitches += rt.privateStitches.Load()
 	cs.Invalidations = rt.invalidations.Load()
 	cs.L2Evictions = rt.l2Evictions.Load()
 	cs.EntriesResident = uint64(rt.resident.Load())

@@ -32,6 +32,11 @@
 // entirely and behave exactly as in the single-machine system: each
 // machine stitches its own copy against its own tables.
 //
+// Every specialization, whatever the tier, is made by one producer
+// (claim → produce → settle, cache.go): the tier policy only chooses
+// where it runs (the missing machine, or a background worker) and which
+// constants table it reads (the machine's memory, or a key set-up arena).
+//
 // # Generations and invalidation
 //
 // Every region carries a monotonic generation number. Invalidate and
@@ -115,11 +120,8 @@ type Runtime struct {
 	regionResident []atomic.Int64
 	regionBytes    []atomic.Int64
 
-	// privateStitches counts stitches of non-shareable regions (shareable
-	// stitches are counted by their shard's monotonic counter).
-	privateStitches atomic.Uint64
-	invalidations   atomic.Uint64
-	l2Evictions     atomic.Uint64
+	invalidations atomic.Uint64
+	l2Evictions   atomic.Uint64
 
 	// Asynchronous stitching state (see async.go). jobs and quit are nil
 	// unless CacheOptions.AsyncStitch is set; everything here is inert
@@ -526,13 +528,10 @@ func (rt *Runtime) enterCold(m *vm.Machine, ms *machineState, region int,
 			// the shared-cache lookup above. The generic segment is never
 			// installed in the level-2 map — it must not shadow promotion.
 			if setup := rt.SetupFn[region]; setup != nil {
-				tbl, cost, err := setup(m)
+				tbl, err := rt.mergedSetup(m, region, setup)
 				if err != nil {
-					return nil, fmt.Errorf("merged set-up %s: %w", r.Name, err)
+					return nil, err
 				}
-				rc := m.Region(region)
-				rc.SetupCycles += cost
-				m.Cycles += cost
 				m.Regs[vm.RScratch] = tbl
 				rt.fallbackRuns.Add(1)
 				return gseg, nil
@@ -545,17 +544,28 @@ func (rt *Runtime) enterCold(m *vm.Machine, ms *machineState, region int,
 	if setup := rt.SetupFn[region]; setup != nil {
 		// Merged set-up + stitch: build the table host-side and stitch
 		// immediately; the inline VM set-up code never runs.
-		tbl, cost, err := setup(m)
+		tbl, err := rt.mergedSetup(m, region, setup)
 		if err != nil {
-			return nil, fmt.Errorf("merged set-up %s: %w", r.Name, err)
+			return nil, err
 		}
-		rc := m.Region(region)
-		rc.SetupCycles += cost
-		m.Cycles += cost
 		return rt.stitchNow(m, ms, region, ks, tbl)
 	}
 	ms.pending[region] = ks
 	return nil, nil // run inline set-up, then DYNSTITCH
+}
+
+// mergedSetup evaluates region's set-up host-side with setup (its
+// SetupFn), charges the modeled cost to m, and returns the table base.
+func (rt *Runtime) mergedSetup(m *vm.Machine, region int,
+	setup func(*vm.Machine) (int64, uint64, error)) (int64, error) {
+
+	tbl, cost, err := setup(m)
+	if err != nil {
+		return 0, fmt.Errorf("merged set-up %s: %w", rt.Regions[region].Name, err)
+	}
+	m.Region(region).SetupCycles += cost
+	m.Cycles += cost
+	return tbl, nil
 }
 
 // shared reports whether region r participates in the cross-machine cache.
@@ -563,49 +573,46 @@ func (rt *Runtime) shared(r *tmpl.Region) bool {
 	return r.Shareable && !rt.Opts.Cache.NoShare
 }
 
-// stitchNow produces the stitched segment for (region, key) against the
-// table at tbl, caches it, and accounts the modeled stitcher cost to m.
-// For shared regions the stitch is singleflighted across machines: only
-// the winning goroutine pays (and is charged) the stitch; waiters adopt
-// the result for free, exactly like a shared-cache hit.
+// stitchNow produces the segment for (region, key) against the table at
+// tbl in m's memory, caches it in m's level-2 map, and charges m the
+// modeled stitch cost when this call ran the stitcher. A shared region is
+// singleflighted across machines: the claim's winner produces, and every
+// other caller waits and adopts the result for free, exactly like a
+// shared-cache hit. A failed stitch is deterministic for a shareable
+// region (the output depends only on the key), so waiters get the
+// winner's error rather than re-running it.
 func (rt *Runtime) stitchNow(m *vm.Machine, ms *machineState, region int,
 	key string, tbl int64) (*vm.Segment, error) {
 
 	r := rt.Regions[region]
 	var (
-		seg      *vm.Segment
-		stats    stitcher.Stats
-		stitched bool // this goroutine ran the stitcher
-		err      error
+		e   *entry
+		gen uint64
+		won = true // a region that is not shared always produces its own
+		p   produced
+		err error
 	)
 	if rt.shared(r) {
-		seg, stats, stitched, err = rt.stitchShared(m, region, key, tbl)
+		e, won, gen = rt.claim(region, key)
+	}
+	if won {
+		p, err = rt.produce(m, tbl, region, key, e, gen)
 	} else {
-		seg, stats, err = stitcher.Stitch(r, m.Mem, tbl, m.Prog.Segs[r.FuncID], rt.Opts.Stitcher)
-		if err == nil {
-			seg, err = guardStitch(r, seg, key)
-		}
-		if err == nil {
-			stitched = true
-			rt.privateStitches.Add(1)
-			rt.recordStats(region, key, &stats)
-		}
+		<-e.done
+		p.seg, err = e.seg, e.err
 	}
 	if err != nil {
 		return nil, fmt.Errorf("stitch region %s: %w", r.Name, err)
 	}
-	ms.put(rt, region, key, seg)
-	rt.keepStitched(region, seg)
-
-	if stitched {
-		// This goroutine ran the stitcher: account the modeled cost.
+	ms.put(rt, region, key, p.seg)
+	if p.stitched {
 		rc := m.Region(region)
-		rc.StitchCycles += stats.CyclesModeled
-		rc.StitchedInsts += uint64(stats.InstsStitched)
+		rc.StitchCycles += p.stats.CyclesModeled
+		rc.StitchedInsts += uint64(p.stats.InstsStitched)
 		rc.Compiles++
-		m.Cycles += stats.CyclesModeled
+		m.Cycles += p.stats.CyclesModeled
 	}
-	return seg, nil
+	return p.seg, nil
 }
 
 // keepStitched retains seg for diagnostics. Dedup is a set membership test

@@ -38,15 +38,18 @@
 //
 // # Hot-path discipline
 //
-// The store is consulted only at stitch sites — after a singleflight claim
-// (inline winner) or at the head of a background job — never on the
+// The store is consulted only by produce (cache.go), the one stitch
+// producer, after it won the key's singleflight claim — never on the
 // DYNENTER lookup path, so the warm path is untouched and concurrent
-// missers of one key pay one store read. Publishes back to the store
-// (and deletes) run on a single background publisher goroutine fed by a
-// bounded queue: the stitch path enqueues and moves on, never blocking on
-// I/O. A full queue drops the operation (counted in StoreErrors). Close
-// drains the queue executing the pending writes, so a clean shutdown
-// persists everything that was accepted.
+// missers of one key pay one store read. A hit is adopted through the
+// same settle as a stitch (same fence, no stitch counted, no cost
+// charged, not put back); its digest uses the claim-time generation (see
+// claim). Publishes back to the store (and deletes) run on a single
+// background publisher goroutine fed by a bounded queue: the stitch path
+// enqueues and moves on, never blocking on I/O. A full queue drops the
+// operation (counted in StoreErrors). Close drains the queue executing
+// the pending writes, so a clean shutdown persists everything that was
+// accepted.
 package rtr
 
 import (
@@ -206,42 +209,6 @@ func (rt *Runtime) runStoreOp(op storeOp) {
 		return
 	}
 	rt.storePutCount.Add(1)
-}
-
-// adoptStored publishes a store-loaded segment into the shared cache under
-// the caller's singleflight entry, with the same generation fencing as a
-// real stitch. It mirrors the publish tail of stitchShared/runJob minus
-// everything stitch-specific: no Stitches counting, no stitcher
-// statistics, no machine cost — adoption is free, like a shared-cache hit.
-// Reports whether the entry was retained (false: the region was
-// invalidated while loading; the segment is still valid for the waiters of
-// this attempt, which began before the invalidation).
-func (rt *Runtime) adoptStored(region int, e *entry, seg *vm.Segment) bool {
-	e.seg = seg
-	close(e.done)
-	sh := rt.shardFor(region, e.key.key)
-	reserved := rt.reserveEntry(sh) // before the lock, as in stitchShared
-	sh.mu.Lock()
-	e.bytes = int64(seg.MemFootprint())
-	// The key is resident again; forget any logged eviction without
-	// counting a restitch — nothing was stitched.
-	sh.evicted.remove(e.key)
-	if !reserved || e.gen != rt.gens[region].Load() || sh.entries[e.key] != e {
-		if sh.entries[e.key] == e {
-			delete(sh.entries, e.key)
-		}
-		sh.mu.Unlock()
-		if reserved {
-			rt.releaseEntry()
-		}
-		return false
-	}
-	rt.makeRoomLocked(sh, region, e.bytes)
-	sh.publishLocked(rt, e)
-	sh.mu.Unlock()
-	rt.reclaim(region)
-	rt.keepStitched(region, seg)
-	return true
 }
 
 // closeStore stops the publisher and drains the queue, *executing* the

@@ -175,46 +175,46 @@ func TestInvalidateDeletesResidentDigests(t *testing.T) {
 	}
 }
 
-// TestAdoptStoredPublish: adoptStored publishes under the singleflight
-// entry with generation fencing, and the adopted segment is then served by
-// ordinary lookups.
+// TestAdoptStoredPublish: a store hit under a won claim is published with
+// the same generation fence as a stitch, without counting one, and is then
+// served by ordinary lookups. The store is consulted under the claim-time
+// generation, so an invalidation during the load is caught by the fence.
 func TestAdoptStoredPublish(t *testing.T) {
 	rt := storeTestRuntime(segio.NewMemStore(), 1)
 	defer rt.Close()
 
-	seg := storedSeg()
-	ck := cacheKey{region: 0, key: "k"}
-	sh := rt.shardFor(0, "k")
-	e := &entry{key: ck, gen: rt.gens[0].Load(), done: make(chan struct{}), slot: -1}
-	sh.mu.Lock()
-	sh.entries[ck] = e
-	sh.mu.Unlock()
-
-	if !rt.adoptStored(0, e, seg) {
-		t.Fatal("adoption declined with a live generation")
+	plant(t, rt, 0, 0, "k", storedSeg())
+	e, won, gen := rt.claim(0, "k")
+	if !won {
+		t.Fatal("fresh key not claimed")
 	}
-	if rt.lookupShared(0, "k") != seg {
+	p, err := rt.produce(nil, 0, 0, "k", e, gen)
+	if err != nil || p.stitched || !p.kept {
+		t.Fatalf("adoption: stitched=%v kept=%v err=%v, want a kept adoption", p.stitched, p.kept, err)
+	}
+	if rt.lookupShared(0, "k") != p.seg {
 		t.Fatal("adopted segment not served by lookup")
 	}
 	if got := rt.regionResident[0].Load(); got != 1 {
 		t.Errorf("regionResident = %d, want 1", got)
 	}
 	// No stitch happened: the Stitches counter must not move.
-	if cs := rt.CacheStats(); cs.Stitches != 0 {
-		t.Errorf("adoption counted as a stitch: %+v", cs)
+	if cs := rt.CacheStats(); cs.Stitches != 0 || cs.StoreHits != 1 {
+		t.Errorf("adoption counted as a stitch or not as a store hit: %+v", cs)
 	}
 
 	// Invalidated mid-load: the segment is still returned to this
 	// attempt's waiters but never retained.
-	ck2 := cacheKey{region: 0, key: "k2"}
-	e2 := &entry{key: ck2, gen: rt.gens[0].Load(), done: make(chan struct{}), slot: -1}
-	sh2 := rt.shardFor(0, "k2")
-	sh2.mu.Lock()
-	sh2.entries[ck2] = e2
-	sh2.mu.Unlock()
+	plant(t, rt, 0, 0, "k2", storedSeg())
+	e2, _, gen2 := rt.claim(0, "k2")
 	rt.gens[0].Add(1)
-	if rt.adoptStored(0, e2, storedSeg()) {
-		t.Fatal("stale-generation adoption was retained")
+	p, err = rt.produce(nil, 0, 0, "k2", e2, gen2)
+	if err != nil || p.seg == nil || p.kept {
+		t.Fatalf("stale-generation adoption: seg=%v kept=%v err=%v", p.seg != nil, p.kept, err)
+	}
+	<-e2.done
+	if e2.seg != p.seg {
+		t.Fatal("waiters of the declined adoption did not get its segment")
 	}
 	if rt.lookupShared(0, "k2") != nil {
 		t.Fatal("stale-generation segment served")

@@ -50,6 +50,20 @@ type Stats struct {
 	Fusion             vm.FuseStats // post-stitch superinstruction fusion
 }
 
+// Add accumulates o into s, field by field. Fusion describes one stitch
+// and is not summed.
+func (s *Stats) Add(o *Stats) {
+	s.InstsStitched += o.InstsStitched
+	s.HolesPatched += o.HolesPatched
+	s.BranchesResolved += o.BranchesResolved
+	s.LoopIterations += o.LoopIterations
+	s.StrengthReductions += o.StrengthReductions
+	s.LargeConsts += o.LargeConsts
+	s.LoadsPromoted += o.LoadsPromoted
+	s.StoresPromoted += o.StoresPromoted
+	s.CyclesModeled += o.CyclesModeled
+}
+
 // Modeled cycle costs of stitcher work, charged per action. The stitcher
 // itself is host code; these constants stand in for the directive
 // interpreter the paper measures (whose cost dominates its Table 2

@@ -108,8 +108,8 @@ func RunStore(seed, cIn, xIn int64) error {
 		}
 	}
 
-	// Async cold run: the background stitch path must consult the store
-	// too (runJob head), and the promoted tier must agree with the
+	// Async cold run: background stitches go through the same producer,
+	// store consult included, and the promoted tier must agree with the
 	// reference once idle.
 	async := cfg
 	async.Cache.AsyncStitch = true
