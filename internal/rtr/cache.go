@@ -267,10 +267,10 @@ func (rt *Runtime) lookupShared(region int, key string) *vm.Segment {
 // mapping one when none exists; won reports whether this call created it,
 // in which case the caller must fill it with produce or fail it with
 // withdraw. Everyone else blocks on e.done and reads e.seg/e.err. gen is
-// the region's generation at claim time. It is the one generation the
-// produced segment is named by in the store, for the consult and for the
-// put-back alike: e.gen starts equal to it but is shared state that
-// InvalidateKey's sibling sweep may refresh under the shard lock.
+// the region's generation at claim time, the generation the missing
+// lookup saw; produce consults the store under it. (e.gen starts equal to
+// it but is shared state that InvalidateKey's sibling sweep may refresh
+// under the shard lock; see settle for the put-back.)
 func (rt *Runtime) claim(region int, key string) (e *entry, won bool, gen uint64) {
 	sh := rt.shardFor(region, key)
 	ck := cacheKey{region: region, key: key}
@@ -324,7 +324,7 @@ func (rt *Runtime) produce(m *vm.Machine, tbl int64, region int, key string,
 		// missers coalesce onto this one read and the warm lookup path
 		// never sees the store.
 		if p.seg = rt.storeLoad(region, gen, key); p.seg != nil {
-			return rt.settle(region, key, e, gen, p, nil)
+			return rt.settle(region, key, e, p, nil)
 		}
 	}
 	r := rt.Regions[region]
@@ -352,7 +352,7 @@ func (rt *Runtime) produce(m *vm.Machine, tbl int64, region int, key string,
 		p.seg, err = guardStitch(r, p.seg, key)
 	}
 	p.stitched = true
-	return rt.settle(region, key, e, gen, p, err)
+	return rt.settle(region, key, e, p, err)
 }
 
 // settle finishes a produce call; its rules hold for every producer:
@@ -368,10 +368,15 @@ func (rt *Runtime) produce(m *vm.Machine, tbl int64, region int, key string,
 //     reserved, the region generation still equals e.gen and e is still
 //     mapped (invalidation unmaps in-flight entries); otherwise it is
 //     unmapped and nothing is retained;
-//   - a published stitch is put to the store under the claim's gen, and
-//     the caps are restored by reclaim;
+//   - a published stitch is put to the store under the generation its
+//     entry is resident under (e.gen read at the fence, under the shard
+//     lock), not the claim's: a sibling InvalidateKey may have moved both
+//     the region and e.gen on since the claim, and both store deletes
+//     (Invalidate's resident sweep and InvalidateKey's previous
+//     generation) name the resident generation. The caps are then
+//     restored by reclaim;
 //   - every segment produced is retained for diagnostics (keepStitched).
-func (rt *Runtime) settle(region int, key string, e *entry, gen uint64,
+func (rt *Runtime) settle(region int, key string, e *entry,
 	p produced, err error) (produced, error) {
 
 	if e != nil {
@@ -407,9 +412,11 @@ func (rt *Runtime) settle(region int, key string, e *entry, gen uint64,
 			}
 		}
 	}
+	var putGen uint64
 	if e != nil {
 		p.kept = reserved && e.gen == rt.gens[region].Load() && sh.entries[ck] == e
 		if p.kept {
+			putGen = e.gen
 			e.bytes = int64(p.seg.MemFootprint())
 			rt.makeRoomLocked(sh, region, e.bytes)
 			sh.publishLocked(rt, e)
@@ -420,7 +427,7 @@ func (rt *Runtime) settle(region int, key string, e *entry, gen uint64,
 	sh.mu.Unlock()
 	if p.kept {
 		if p.stitched {
-			rt.storePut(region, gen, key, p.seg)
+			rt.storePut(region, putGen, key, p.seg)
 		}
 		rt.reclaim(region)
 	} else if reserved {

@@ -527,8 +527,8 @@ func (rt *Runtime) enterCold(m *vm.Machine, ms *machineState, region int,
 			// the next call after publish adopts the stitched segment via
 			// the shared-cache lookup above. The generic segment is never
 			// installed in the level-2 map — it must not shadow promotion.
-			if setup := rt.SetupFn[region]; setup != nil {
-				tbl, err := rt.mergedSetup(m, region, setup)
+			if rt.SetupFn[region] != nil {
+				tbl, err := rt.mergedSetup(m, region)
 				if err != nil {
 					return nil, err
 				}
@@ -541,10 +541,10 @@ func (rt *Runtime) enterCold(m *vm.Machine, ms *machineState, region int,
 			return nil, nil // run inline set-up; DYNSTITCH takes the generic tier
 		}
 	}
-	if setup := rt.SetupFn[region]; setup != nil {
+	if rt.SetupFn[region] != nil {
 		// Merged set-up + stitch: build the table host-side and stitch
 		// immediately; the inline VM set-up code never runs.
-		tbl, err := rt.mergedSetup(m, region, setup)
+		tbl, err := rt.mergedSetup(m, region)
 		if err != nil {
 			return nil, err
 		}
@@ -554,12 +554,10 @@ func (rt *Runtime) enterCold(m *vm.Machine, ms *machineState, region int,
 	return nil, nil // run inline set-up, then DYNSTITCH
 }
 
-// mergedSetup evaluates region's set-up host-side with setup (its
-// SetupFn), charges the modeled cost to m, and returns the table base.
-func (rt *Runtime) mergedSetup(m *vm.Machine, region int,
-	setup func(*vm.Machine) (int64, uint64, error)) (int64, error) {
-
-	tbl, cost, err := setup(m)
+// mergedSetup evaluates region's set-up host-side with its SetupFn,
+// charges the modeled cost to m, and returns the table base.
+func (rt *Runtime) mergedSetup(m *vm.Machine, region int) (int64, error) {
+	tbl, cost, err := rt.SetupFn[region](m)
 	if err != nil {
 		return 0, fmt.Errorf("merged set-up %s: %w", rt.Regions[region].Name, err)
 	}

@@ -43,8 +43,9 @@
 // DYNENTER lookup path, so the warm path is untouched and concurrent
 // missers of one key pay one store read. A hit is adopted through the
 // same settle as a stitch (same fence, no stitch counted, no cost
-// charged, not put back); its digest uses the claim-time generation (see
-// claim). Publishes back to the store (and deletes) run on a single
+// charged, not put back); its digest uses the claim-time generation, and
+// a stitch is put back under the generation it is published under (see
+// settle). Publishes back to the store (and deletes) run on a single
 // background publisher goroutine fed by a bounded queue: the stitch path
 // enqueues and moves on, never blocking on I/O. A full queue drops the
 // operation (counted in StoreErrors). Close drains the queue executing

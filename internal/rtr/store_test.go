@@ -175,6 +175,47 @@ func TestInvalidateDeletesResidentDigests(t *testing.T) {
 	}
 }
 
+// TestInvalidateDeletesPutAcrossSiblingInvalidation: a stitch whose claim
+// straddles another key's InvalidateKey is published under the refreshed
+// generation, so it must be persisted under that generation too, or a
+// later Invalidate of the region (or InvalidateKey of the key) deletes a
+// digest nothing was stored at and the blob survives for a restarted
+// process to serve.
+func TestInvalidateDeletesPutAcrossSiblingInvalidation(t *testing.T) {
+	for name, invalidate := range map[string]func(*Runtime){
+		"region": func(rt *Runtime) { rt.Invalidate(0) },
+		"key":    func(rt *Runtime) { rt.InvalidateKey(0, 5) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			store := segio.NewMemStore()
+			rt, m := producerRuntime(CacheOptions{Store: store})
+			defer rt.Close()
+			key := encodeKey([]int64{5})
+
+			e, won, gen := rt.claim(0, key)
+			if !won {
+				t.Fatal("fresh key not claimed")
+			}
+			rt.InvalidateKey(0, 6) // a sibling: the region moves on, the claim stays live
+			p, err := rt.produce(m, fixtureTbl, 0, key, e, gen)
+			if err != nil || !p.stitched || !p.kept {
+				t.Fatalf("stitch across a sibling invalidation: stitched=%v kept=%v err=%v",
+					p.stitched, p.kept, err)
+			}
+			rt.WaitIdle()
+			if store.Len() != 1 {
+				t.Fatalf("store holds %d blobs after the put, want 1", store.Len())
+			}
+
+			invalidate(rt)
+			rt.WaitIdle()
+			if store.Len() != 0 {
+				t.Fatal("the invalidated specialization's persisted blob survived")
+			}
+		})
+	}
+}
+
 // TestAdoptStoredPublish: a store hit under a won claim is published with
 // the same generation fence as a stitch, without counting one, and is then
 // served by ordinary lookups. The store is consulted under the claim-time
