@@ -11,9 +11,11 @@ package dyncc
 //
 // Run: go test -bench=. -benchmem
 import (
+	"math/rand"
 	"testing"
 
 	"dyncc/internal/bench"
+	"dyncc/internal/testgen"
 )
 
 func reportRow(b *testing.B, f func(bench.Config) (*bench.Measurement, error), cfg bench.Config) {
@@ -78,6 +80,37 @@ func BenchmarkStaticCompile(b *testing.B) {
 		if _, err := CompileDynamic(cacheLookupSrc); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// churnSources is a deploy-style source mix: tenant programs alternating
+// with call-bearing generated programs, the sources a service that
+// compiles on every deployment sees.
+func churnSources(n int) []string {
+	srcs := make([]string, n)
+	for j := range srcs {
+		if j%2 == 0 {
+			srcs[j] = testgen.Tenant(int64(j / 2))
+		} else {
+			g := rand.New(rand.NewSource(1<<20 + int64(j)))
+			srcs[j] = testgen.GenWith(g, testgen.GenOpts{WithCalls: true})
+		}
+	}
+	return srcs
+}
+
+// BenchmarkCompileChurn compiles (and closes) one program of the
+// deploy-style mix per op, so allocs/op is one deployment's static
+// compile.
+func BenchmarkCompileChurn(b *testing.B) {
+	srcs := churnSources(16)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		p, err := CompileDynamic(srcs[i%len(srcs)])
+		if err != nil {
+			b.Fatal(err)
+		}
+		p.Close()
 	}
 }
 

@@ -24,7 +24,7 @@ func analyzeRegion(t *testing.T, src, fn string) (*ir.Func, *Result) {
 	if f == nil {
 		t.Fatalf("no function %s", fn)
 	}
-	ir.BuildSSA(f)
+	ir.BuildSSA(f, nil)
 	if len(f.Regions) == 0 {
 		t.Fatalf("no regions in %s", fn)
 	}
@@ -337,7 +337,7 @@ int f(int c, int d) {
 	file, _ := parser.Parse(src)
 	mod, _ := lower.Lower(file)
 	f := mod.FuncIndex["f"]
-	ir.BuildSSA(f)
+	ir.BuildSSA(f, nil)
 	r := f.Regions[0]
 	res, err := Analyze(f, r, nil)
 	if err != nil {

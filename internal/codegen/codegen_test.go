@@ -23,7 +23,7 @@ func compileProg(t *testing.T, src string, dynamic bool) (*codegen.Output, *ir.M
 	}
 	splits := map[*ir.Region]*split.Result{}
 	for _, f := range mod.Funcs {
-		ir.BuildSSA(f)
+		ir.BuildSSA(f, nil)
 		if dynamic {
 			for _, r := range f.Regions {
 				sr, err := split.Split(f, r)

@@ -45,7 +45,7 @@ func (p passAutoRegion) Run(ctx *pipeline.Context) error {
 	if !p.enabled || !ctx.Dynamic || ctx.File == nil {
 		return nil
 	}
-	eligible := p.inlineableCallees(ctx.File)
+	eligible := p.inlineableCallees(ctx.File, ctx.Scratch)
 	type cand struct {
 		fd   *ast.FuncDecl
 		keys []string
@@ -85,7 +85,7 @@ func (p passAutoRegion) Run(ctx *pipeline.Context) error {
 // is off for this build or the file doesn't lower — the pass then falls
 // back to the conservative any-call-disqualifies rule, and the real
 // lowering reports the error with full context.
-func (p passAutoRegion) inlineableCallees(file *ast.File) map[string]bool {
+func (p passAutoRegion) inlineableCallees(file *ast.File, s *ir.Scratch) map[string]bool {
 	if p.inlineBudget < 0 {
 		return nil
 	}
@@ -94,7 +94,7 @@ func (p passAutoRegion) inlineableCallees(file *ast.File) map[string]bool {
 		return nil
 	}
 	for _, f := range mod.Funcs {
-		ir.BuildSSA(f)
+		ir.BuildSSA(f, s)
 	}
 	el := map[string]bool{}
 	for name, s := range analysis.Summaries(mod) {

@@ -17,6 +17,7 @@ import (
 	"sync"
 	"time"
 
+	"dyncc/internal/ir"
 	"dyncc/internal/pipeline"
 )
 
@@ -97,8 +98,9 @@ func CompileBatch(srcs []string, cfg Config) (*BatchResult, error) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
+				s := new(ir.Scratch) // this worker's, reused program after program
 				for i := range next {
-					res.Programs[i], res.Errs[i] = Compile(srcs[i], cfg)
+					res.Programs[i], res.Errs[i] = compile(srcs[i], cfg, s)
 				}
 			}()
 		}

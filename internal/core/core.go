@@ -173,12 +173,19 @@ func newFrontEnd(cfg Config) *pipeline.Manager {
 // branch-fold, copy-prop, cse, dce) → split → codegen, with ir.Verify
 // interposed after every module-mutating pass.
 func Compile(src string, cfg Config) (*Compiled, error) {
+	return compile(src, cfg, new(ir.Scratch))
+}
+
+// compile is Compile with the dense-table scratch supplied by the caller,
+// so a CompileBatch worker reuses one across its programs.
+func compile(src string, cfg Config, s *ir.Scratch) (*Compiled, error) {
 	mgr := newPipeline(cfg)
 	if err := mgr.Disable(cfg.DisablePasses); err != nil {
 		return nil, err
 	}
 	ctx := &pipeline.Context{
 		Src:       src,
+		Scratch:   s,
 		Dynamic:   cfg.Dynamic,
 		VerifyAll: cfg.VerifyAll || verifyAllEnv(),
 		DumpIR:    cfg.DumpIR,

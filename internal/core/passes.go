@@ -49,7 +49,7 @@ func (passSSA) MutatesIR() bool { return true }
 
 func (passSSA) Run(ctx *pipeline.Context) error {
 	for _, f := range ctx.Module.Funcs {
-		ir.BuildSSA(f)
+		ir.BuildSSA(f, ctx.Scratch)
 	}
 	return nil
 }
@@ -67,7 +67,7 @@ func (p passOptSub) MutatesIR() bool { return true }
 func (p passOptSub) Run(ctx *pipeline.Context) error {
 	n := 0
 	for _, f := range ctx.Module.Funcs {
-		n += p.sp.Run(f)
+		n += p.sp.Run(f, ctx.Scratch)
 	}
 	ctx.NoteChanges(n)
 	return nil

@@ -3,112 +3,194 @@ package ir
 // Dominance computation (Cooper/Harvey/Kennedy iterative algorithm) and
 // CFG-editing helpers.
 
-// DomTree holds immediate dominators and dominance frontiers.
+// DomTree holds immediate dominators, dominator-tree children and
+// dominance frontiers of the blocks reachable from a function's entry.
+// Blocks are numbered by their reverse-postorder position; children and
+// frontiers are stored compressed (one offset table, one list each).
 type DomTree struct {
-	Idom     map[*Block]*Block   // immediate dominator (nil for entry)
-	Children map[*Block][]*Block // dominator-tree children
-	Frontier map[*Block][]*Block // dominance frontier
-	rpoIndex map[*Block]int
+	rpo      []*Block // reachable blocks in reverse postorder
+	pos      []int32  // block ID -> RPO position, -1 when unreachable
+	idom     []int32  // RPO position -> idom's position, -1 for the entry
+	kidStart []int32  // RPO position -> offset into kids (len(rpo)+1 entries)
+	kids     []*Block
+	dfStart  []int32 // RPO position -> offset into df (len(rpo)+1 entries)
+	df       []*Block
 }
 
 // BuildDomTree computes the dominator tree and dominance frontiers for the
-// blocks reachable from f's entry.
-func BuildDomTree(f *Func) *DomTree {
-	rpo := f.ReversePostorder()
-	idx := make(map[*Block]int, len(rpo))
-	for i, b := range rpo {
-		idx[b] = i
+// blocks reachable from f's entry (Cooper/Harvey/Kennedy). With a non-nil
+// s the tree lives in s: it is valid until the Release of the Mark taken
+// before the call, or the next BuildDomTree on s, whichever is first.
+func BuildDomTree(f *Func, s *Scratch) *DomTree {
+	t := new(DomTree)
+	if s != nil {
+		t = &s.dom
 	}
-	idom := make(map[*Block]*Block, len(rpo))
-	entry := f.Entry()
-	idom[entry] = entry
+	rpo := s.reversePostorder(f)
+	n := len(rpo)
+	pos := s.Int32s(f.numBlocks)
+	for i := range pos {
+		pos[i] = -1
+	}
+	for i, b := range rpo {
+		pos[b.ID] = int32(i)
+	}
+	posOf := func(b *Block) int32 {
+		if b.ID < len(pos) {
+			return pos[b.ID]
+		}
+		return -1
+	}
+	idom := s.Int32s(n)
+	for i := range idom {
+		idom[i] = -1
+	}
+	idom[0] = 0
 
-	intersect := func(a, b *Block) *Block {
+	intersect := func(a, b int32) int32 {
 		for a != b {
-			for idx[a] > idx[b] {
+			for a > b {
 				a = idom[a]
 			}
-			for idx[b] > idx[a] {
+			for b > a {
 				b = idom[b]
 			}
 		}
 		return a
 	}
-
-	changed := true
-	for changed {
+	for changed := true; changed; {
 		changed = false
-		for _, b := range rpo {
-			if b == entry {
-				continue
-			}
-			var newIdom *Block
-			for _, p := range b.Preds {
-				if idom[p] == nil {
+		for i := 1; i < n; i++ {
+			newIdom := int32(-1)
+			for _, p := range rpo[i].Preds {
+				q := posOf(p)
+				if q < 0 || idom[q] < 0 {
 					continue // unreachable or not yet processed
 				}
-				if newIdom == nil {
-					newIdom = p
+				if newIdom < 0 {
+					newIdom = q
 				} else {
-					newIdom = intersect(p, newIdom)
+					newIdom = intersect(q, newIdom)
 				}
 			}
-			if newIdom != nil && idom[b] != newIdom {
-				idom[b] = newIdom
+			if newIdom >= 0 && idom[i] != newIdom {
+				idom[i] = newIdom
 				changed = true
 			}
 		}
 	}
-	idom[entry] = nil
+	idom[0] = -1
 
-	t := &DomTree{
-		Idom:     idom,
-		Children: map[*Block][]*Block{},
-		Frontier: map[*Block][]*Block{},
-		rpoIndex: idx,
+	// Children, in reverse postorder: count, prefix-sum, fill.
+	kidStart := s.Int32s(n + 1)
+	for i := 1; i < n; i++ {
+		kidStart[idom[i]+1]++
 	}
-	for _, b := range rpo {
-		if d := idom[b]; d != nil {
-			t.Children[d] = append(t.Children[d], b)
-		}
+	for i := 0; i < n; i++ {
+		kidStart[i+1] += kidStart[i]
 	}
-	// Dominance frontiers.
-	for _, b := range rpo {
-		if len(b.Preds) < 2 {
-			continue
+	kids := s.Blocks(n)
+	fill := s.Int32s(n)
+	copy(fill, kidStart[:n])
+	for i := 1; i < n; i++ {
+		d := idom[i]
+		kids[fill[d]] = rpo[i]
+		fill[d]++
+	}
+
+	// Dominance frontiers: walk up from each predecessor of every join
+	// block to the join's idom. The walk runs twice, first counting and
+	// then filling, so each block's frontier keeps discovery order; last
+	// records the join a block was last added for, which deduplicates.
+	dfStart := s.Int32s(n + 1)
+	last := s.Int32s(n)
+	frontiers := func(add func(runner, join int32)) {
+		for i := range last {
+			last[i] = -1
 		}
-		for _, p := range b.Preds {
-			if _, ok := idx[p]; !ok {
+		for i, b := range rpo {
+			if len(b.Preds) < 2 {
 				continue
 			}
-			runner := p
-			for runner != nil && runner != idom[b] {
-				t.addFrontier(runner, b)
-				runner = idom[runner]
+			for _, p := range b.Preds {
+				runner := posOf(p)
+				for runner >= 0 && runner != idom[i] {
+					if last[runner] != int32(i) {
+						last[runner] = int32(i)
+						add(runner, int32(i))
+					}
+					runner = idom[runner]
+				}
 			}
 		}
 	}
+	frontiers(func(runner, _ int32) { dfStart[runner+1]++ })
+	for i := 0; i < n; i++ {
+		dfStart[i+1] += dfStart[i]
+	}
+	df := s.Blocks(int(dfStart[n]))
+	copy(fill, dfStart[:n])
+	frontiers(func(runner, join int32) {
+		df[fill[runner]] = rpo[join]
+		fill[runner]++
+	})
+
+	*t = DomTree{rpo: rpo, pos: pos, idom: idom, kidStart: kidStart, kids: kids,
+		dfStart: dfStart, df: df}
 	return t
 }
 
-func (t *DomTree) addFrontier(b, f *Block) {
-	for _, x := range t.Frontier[b] {
-		if x == f {
-			return
-		}
+// position returns b's reverse-postorder position, or -1 when b is
+// unreachable or was not part of the function when the tree was built.
+func (t *DomTree) position(b *Block) int32 {
+	if b == nil || b.ID >= len(t.pos) {
+		return -1
 	}
-	t.Frontier[b] = append(t.Frontier[b], f)
+	return t.pos[b.ID]
 }
 
-// Dominates reports whether a dominates b (reflexively).
-func (t *DomTree) Dominates(a, b *Block) bool {
-	for b != nil {
-		if a == b {
-			return true
-		}
-		b = t.Idom[b]
+// Idom returns b's immediate dominator, or nil for the entry and for
+// unreachable blocks.
+func (t *DomTree) Idom(b *Block) *Block {
+	if p := t.position(b); p >= 0 && t.idom[p] >= 0 {
+		return t.rpo[t.idom[p]]
 	}
-	return false
+	return nil
+}
+
+// Children returns the blocks b immediately dominates, in reverse
+// postorder.
+func (t *DomTree) Children(b *Block) []*Block {
+	p := t.position(b)
+	if p < 0 {
+		return nil
+	}
+	return t.kids[t.kidStart[p]:t.kidStart[p+1]]
+}
+
+// Frontier returns b's dominance frontier.
+func (t *DomTree) Frontier(b *Block) []*Block {
+	p := t.position(b)
+	if p < 0 {
+		return nil
+	}
+	return t.df[t.dfStart[p]:t.dfStart[p+1]]
+}
+
+// Dominates reports whether a dominates b (reflexively). Unreachable
+// blocks dominate only themselves.
+func (t *DomTree) Dominates(a, b *Block) bool {
+	if a == b {
+		return true
+	}
+	pa, pb := t.position(a), t.position(b)
+	if pa < 0 || pb < 0 {
+		return false
+	}
+	for pb > pa {
+		pb = t.idom[pb]
+	}
+	return pb == pa
 }
 
 // SplitCriticalEdges inserts an empty block on every edge whose source has

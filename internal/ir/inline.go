@@ -1,6 +1,9 @@
 package ir
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // InlineCall grafts callee's body into caller at the given call site,
 // SSA-correctly: parameters substitute to the call's arguments, every
@@ -58,10 +61,6 @@ func InlineCall(caller *Func, call *Instr, callee *Func) error {
 
 	// Only the reachable subgraph of the callee is grafted.
 	reach := callee.ReversePostorder()
-	reachable := map[*Block]bool{}
-	for _, cb := range reach {
-		reachable[cb] = true
-	}
 	if len(callee.Entry().Preds) != 0 {
 		return fmt.Errorf("inline: %s entry has predecessors", callee.Name)
 	}
@@ -116,13 +115,14 @@ func InlineCall(caller *Func, call *Instr, callee *Func) error {
 	// Fresh caller blocks for the grafted body, inheriting the call site's
 	// region and unrolled-loop membership (the graft executes exactly where
 	// the call did).
+	// bmap[cb.ID] is the clone of callee block cb (nil: unreachable).
 	loops := append([]*Loop(nil), b.Loops...)
-	bmap := map[*Block]*Block{}
+	bmap := make([]*Block, callee.NumBlockIDs())
 	for _, cb := range reach {
 		nb := caller.NewBlock()
 		nb.Region = b.Region
 		nb.Loops = loops
-		bmap[cb] = nb
+		bmap[cb.ID] = nb
 	}
 
 	// The continuation: everything after the call moves here, including the
@@ -136,14 +136,14 @@ func InlineCall(caller *Func, call *Instr, callee *Func) error {
 	var retPreds []*Block
 	var retVals []Value
 	for _, cb := range reach {
-		nb := bmap[cb]
+		nb := bmap[cb.ID]
 		// Predecessors first (φ argument slots align with them). Preds from
 		// unreachable blocks are dropped along with their φ args.
 		keep := make([]int, 0, len(cb.Preds))
 		for pi, p := range cb.Preds {
-			if reachable[p] {
+			if np := bmap[p.ID]; np != nil {
 				keep = append(keep, pi)
-				nb.Preds = append(nb.Preds, bmap[p])
+				nb.Preds = append(nb.Preds, np)
 			}
 		}
 		for _, in := range cb.Instrs {
@@ -185,7 +185,7 @@ func InlineCall(caller *Func, call *Instr, callee *Func) error {
 			if len(in.Targets) > 0 {
 				ni.Targets = make([]*Block, len(in.Targets))
 				for i, t := range in.Targets {
-					ni.Targets[i] = bmap[t]
+					ni.Targets[i] = bmap[t.ID]
 				}
 			}
 			nb.Append(ni)
@@ -205,12 +205,10 @@ func InlineCall(caller *Func, call *Instr, callee *Func) error {
 	}
 	cont.Instrs = append(cont.Instrs, tail...)
 	if t := cont.Term(); t != nil {
-		seen := map[*Block]bool{}
-		for _, s := range t.Targets {
-			if seen[s] {
+		for ti, s := range t.Targets {
+			if slices.Contains(t.Targets[:ti], s) {
 				continue
 			}
-			seen[s] = true
 			for i, p := range s.Preds {
 				if p == b {
 					s.Preds[i] = cont
@@ -227,8 +225,9 @@ func InlineCall(caller *Func, call *Instr, callee *Func) error {
 			}
 		}
 	}
-	b.Append(&Instr{Op: OpJump, Targets: []*Block{bmap[callee.Entry()]}, Pos: call.Pos})
-	bmap[callee.Entry()].Preds = []*Block{b}
+	centry := bmap[callee.Entry().ID]
+	b.Append(&Instr{Op: OpJump, Targets: []*Block{centry}, Pos: call.Pos})
+	centry.Preds = []*Block{b}
 	cont.Preds = retPreds
 
 	// Materialize the return value at the continuation head. Every former

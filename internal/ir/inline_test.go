@@ -21,7 +21,7 @@ func buildSSA(t *testing.T, src string) *ir.Module {
 		t.Fatalf("lower: %v", err)
 	}
 	for _, f := range mod.Funcs {
-		ir.BuildSSA(f)
+		ir.BuildSSA(f, nil)
 	}
 	return mod
 }
@@ -50,7 +50,7 @@ func inlineAndVerify(t *testing.T, mod *ir.Module, caller, callee string) *ir.Fu
 	if err := ir.InlineCall(cr, call, ce); err != nil {
 		t.Fatalf("InlineCall: %v", err)
 	}
-	if err := ir.Verify(cr); err != nil {
+	if err := ir.Verify(cr, nil); err != nil {
 		t.Fatalf("post-inline verify: %v\n%s", err, cr)
 	}
 	for _, b := range cr.Blocks {
@@ -216,7 +216,7 @@ int f(int x) {
 	}
 	// Everything still verifies after the refusals.
 	for _, fn := range mod.Funcs {
-		if err := ir.Verify(fn); err != nil {
+		if err := ir.Verify(fn, nil); err != nil {
 			t.Fatalf("verify after refusals: %v", err)
 		}
 	}

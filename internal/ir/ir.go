@@ -10,7 +10,6 @@ package ir
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"dyncc/internal/token"
@@ -253,16 +252,14 @@ func (b *Block) RemovePred(p *Block) {
 	}
 }
 
-// Phis returns the leading φ instructions of the block.
+// Phis returns the leading φ instructions of the block, as a capped
+// subslice of b.Instrs.
 func (b *Block) Phis() []*Instr {
-	var ps []*Instr
-	for _, in := range b.Instrs {
-		if in.Op != OpPhi {
-			break
-		}
-		ps = append(ps, in)
+	n := 0
+	for n < len(b.Instrs) && b.Instrs[n].Op == OpPhi {
+		n++
 	}
-	return ps
+	return b.Instrs[:n:n]
 }
 
 // InLoop reports whether b is inside unrolled loop l.
@@ -415,44 +412,72 @@ func (f *Func) ComputePreds() {
 
 // ReversePostorder returns blocks reachable from entry in reverse postorder.
 func (f *Func) ReversePostorder() []*Block {
-	seen := make([]bool, f.numBlocks)
-	var order []*Block
-	var dfs func(b *Block)
-	dfs = func(b *Block) {
-		seen[b.ID] = true
-		for _, s := range b.Succs() {
-			if !seen[s.ID] {
-				dfs(s)
+	return append(make([]*Block, 0, len(f.Blocks)), (*Scratch)(nil).reversePostorder(f)...)
+}
+
+// ReversePostorder is f.ReversePostorder with the order held in s, valid
+// until the Release of the Mark taken before the call.
+func (s *Scratch) ReversePostorder(f *Func) []*Block { return s.reversePostorder(f) }
+
+// reversePostorder runs the depth-first search iteratively, visiting
+// successors in terminator order, so the order is the recursive one.
+func (s *Scratch) reversePostorder(f *Func) []*Block {
+	seen := s.Bits(f.numBlocks)
+	order := s.Blocks(f.numBlocks)
+	// stack holds the path from the entry; next[i] is the index of the
+	// next successor of stack[i] to visit.
+	stack := s.Blocks(f.numBlocks)
+	next := s.Int32s(f.numBlocks)
+	n, depth := len(order), 0
+	entry := f.Entry()
+	seen.Add(entry.ID)
+	stack[0] = entry
+	for depth >= 0 {
+		b := stack[depth]
+		succs := b.Succs()
+		if i := next[depth]; int(i) < len(succs) {
+			next[depth]++
+			if sb := succs[i]; !seen.Has(sb.ID) {
+				seen.Add(sb.ID)
+				depth++
+				stack[depth], next[depth] = sb, 0
 			}
+			continue
 		}
-		order = append(order, b)
+		n--
+		order[n] = b
+		depth--
 	}
-	dfs(f.Entry())
-	for i, j := 0, len(order)-1; i < j; i, j = i+1, j-1 {
-		order[i], order[j] = order[j], order[i]
-	}
-	return order
+	return order[n:]
 }
 
 // RemoveUnreachable deletes blocks not reachable from entry, fixing Preds
 // and φ arguments of surviving blocks.
-func (f *Func) RemoveUnreachable() {
-	reach := map[*Block]bool{}
-	for _, b := range f.ReversePostorder() {
-		reach[b] = true
+func (f *Func) RemoveUnreachable(s *Scratch) {
+	defer s.Release(s.Mark())
+	reach := s.Bits(f.numBlocks)
+	rpo := s.reversePostorder(f)
+	for _, b := range rpo {
+		reach.Add(b.ID)
 	}
+	n := 0
 	for _, b := range f.Blocks {
-		if !reach[b] {
-			for _, s := range b.Succs() {
-				if reach[s] {
-					s.RemovePred(b)
-				}
+		if reach.Has(b.ID) {
+			n++
+			continue
+		}
+		for _, sb := range b.Succs() {
+			if reach.Has(sb.ID) {
+				sb.RemovePred(b)
 			}
 		}
 	}
-	var keep []*Block
+	if n == len(f.Blocks) {
+		return
+	}
+	keep := make([]*Block, 0, n)
 	for _, b := range f.Blocks {
-		if reach[b] {
+		if reach.Has(b.ID) {
 			keep = append(keep, b)
 		}
 	}
@@ -580,15 +605,4 @@ func (in *Instr) String() string {
 		return rhs
 	}
 	return fmt.Sprintf("%s = %s", v(in.Dst), rhs)
-}
-
-// SortedValues returns values in ascending order (helper for deterministic
-// iteration over value sets in maps).
-func SortedValues(m map[Value]bool) []Value {
-	vs := make([]Value, 0, len(m))
-	for v := range m {
-		vs = append(vs, v)
-	}
-	sort.Slice(vs, func(i, j int) bool { return vs[i] < vs[j] })
-	return vs
 }

@@ -30,34 +30,39 @@ func buildDiamond() (*Func, []*Block) {
 
 func TestDominators(t *testing.T) {
 	f, bs := buildDiamond()
-	dt := BuildDomTree(f)
-	if dt.Idom[bs[0]] != nil {
-		t.Error("entry should have no idom")
-	}
-	for _, b := range bs[1:] {
-		if dt.Idom[b] != bs[0] {
-			t.Errorf("idom(b%d) = %v, want b0", b.ID, dt.Idom[b])
+	for _, s := range []*Scratch{nil, new(Scratch)} {
+		dt := BuildDomTree(f, s)
+		if dt.Idom(bs[0]) != nil {
+			t.Error("entry should have no idom")
 		}
-	}
-	if !dt.Dominates(bs[0], bs[3]) {
-		t.Error("b0 should dominate b3")
-	}
-	if dt.Dominates(bs[1], bs[3]) {
-		t.Error("b1 should not dominate b3")
-	}
-	// Dominance frontier of b1 and b2 is {b3}.
-	for _, b := range bs[1:3] {
-		df := dt.Frontier[b]
-		if len(df) != 1 || df[0] != bs[3] {
-			t.Errorf("DF(b%d) = %v", b.ID, df)
+		for _, b := range bs[1:] {
+			if dt.Idom(b) != bs[0] {
+				t.Errorf("idom(b%d) = %v, want b0", b.ID, dt.Idom(b))
+			}
+		}
+		if kids := dt.Children(bs[0]); len(kids) != 3 {
+			t.Errorf("children(b0) = %v, want b1, b2, b3", kids)
+		}
+		if !dt.Dominates(bs[0], bs[3]) {
+			t.Error("b0 should dominate b3")
+		}
+		if dt.Dominates(bs[1], bs[3]) {
+			t.Error("b1 should not dominate b3")
+		}
+		// Dominance frontier of b1 and b2 is {b3}.
+		for _, b := range bs[1:3] {
+			df := dt.Frontier(b)
+			if len(df) != 1 || df[0] != bs[3] {
+				t.Errorf("DF(b%d) = %v", b.ID, df)
+			}
 		}
 	}
 }
 
 func TestSSADiamondPhi(t *testing.T) {
 	f, bs := buildDiamond()
-	BuildSSA(f)
-	if err := Verify(f); err != nil {
+	BuildSSA(f, nil)
+	if err := Verify(f, nil); err != nil {
 		t.Fatalf("verify: %v", err)
 	}
 	phis := bs[3].Phis()
@@ -84,7 +89,7 @@ func TestPrunedSSAOmitsDeadPhi(t *testing.T) {
 	b2.Append(&Instr{Op: OpJump, Targets: []*Block{b3}})
 	b3.Append(&Instr{Op: OpRet, Args: []Value{p}})
 	f.ComputePreds()
-	BuildSSA(f)
+	BuildSSA(f, nil)
 	if n := len(b3.Phis()); n != 0 {
 		t.Errorf("pruned SSA inserted %d dead φs", n)
 	}
@@ -110,8 +115,8 @@ func TestSSALoop(t *testing.T) {
 	exit.Append(&Instr{Op: OpRet, Args: []Value{i}})
 	f.ComputePreds()
 
-	BuildSSA(f)
-	if err := Verify(f); err != nil {
+	BuildSSA(f, nil)
+	if err := Verify(f, nil); err != nil {
 		t.Fatalf("verify: %v", err)
 	}
 	if len(head.Phis()) != 1 {
@@ -150,11 +155,11 @@ func TestVerifyCatchesBadIR(t *testing.T) {
 	b := f.NewBlock()
 	// Missing terminator.
 	b.Append(&Instr{Op: OpConst, Const: 1, Dst: f.NewValue("", types.IntType), Typ: types.IntType})
-	if err := Verify(f); err == nil {
+	if err := Verify(f, nil); err == nil {
 		t.Error("expected missing-terminator error")
 	}
 	b.Append(&Instr{Op: OpRet})
-	if err := Verify(f); err != nil {
+	if err := Verify(f, nil); err != nil {
 		t.Errorf("now valid: %v", err)
 	}
 	// Double definition in SSA form.
@@ -162,7 +167,7 @@ func TestVerifyCatchesBadIR(t *testing.T) {
 	v := f.NewValue("", types.IntType)
 	b.InsertBefore(0, &Instr{Op: OpConst, Const: 1, Dst: v, Typ: types.IntType})
 	b.InsertBefore(1, &Instr{Op: OpConst, Const: 2, Dst: v, Typ: types.IntType})
-	if err := Verify(f); err == nil {
+	if err := Verify(f, nil); err == nil {
 		t.Error("expected SSA redefinition error")
 	}
 }
@@ -174,7 +179,7 @@ func TestRemoveUnreachable(t *testing.T) {
 	b0.Append(&Instr{Op: OpRet})
 	dead.Append(&Instr{Op: OpRet})
 	f.ComputePreds()
-	f.RemoveUnreachable()
+	f.RemoveUnreachable(nil)
 	if len(f.Blocks) != 1 {
 		t.Errorf("blocks after removal: %d", len(f.Blocks))
 	}
@@ -187,13 +192,13 @@ func TestSplitCriticalEdges(t *testing.T) {
 	term.Targets[1] = bs[3]
 	bs[2].Preds = nil
 	f.ComputePreds()
-	f.RemoveUnreachable()
+	f.RemoveUnreachable(nil)
 	before := len(f.Blocks)
 	f.SplitCriticalEdges()
 	if len(f.Blocks) != before+1 {
 		t.Errorf("expected one split block, got %d new", len(f.Blocks)-before)
 	}
-	if err := Verify(f); err != nil {
+	if err := Verify(f, nil); err != nil {
 		t.Errorf("verify after split: %v", err)
 	}
 }

@@ -9,7 +9,7 @@ import (
 
 func TestPrinting(t *testing.T) {
 	f, bs := buildDiamond()
-	BuildSSA(f)
+	BuildSSA(f, nil)
 	s := f.String()
 	for _, want := range []string{"func d {", "b0:", "phi [", "br v", "ret"} {
 		if !strings.Contains(s, want) {

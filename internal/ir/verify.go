@@ -4,16 +4,22 @@ import "fmt"
 
 // Verify checks structural invariants of the function and returns the first
 // violation found, or nil. In SSA form it additionally checks single
-// assignment and that φ argument counts match predecessor counts.
-func Verify(f *Func) error {
+// assignment and that φ argument counts match predecessor counts. Its
+// tables come from s (nil is allowed).
+func Verify(f *Func, s *Scratch) error {
 	if len(f.Blocks) == 0 {
 		return fmt.Errorf("%s: no blocks", f.Name)
 	}
-	blockSet := map[*Block]bool{}
+	defer s.Release(s.Mark())
+	// byID[b.ID] == b exactly for the blocks of f.Blocks.
+	byID := s.Blocks(f.numBlocks)
 	for _, b := range f.Blocks {
-		blockSet[b] = true
+		if b.ID >= 0 && b.ID < len(byID) {
+			byID[b.ID] = b
+		}
 	}
-	defs := map[Value]*Instr{}
+	inFunc := func(b *Block) bool { return b.ID >= 0 && b.ID < len(byID) && byID[b.ID] == b }
+	defined := s.Bits(f.NumValues())
 	for _, b := range f.Blocks {
 		if len(b.Instrs) == 0 {
 			return fmt.Errorf("%s b%d: empty block", f.Name, b.ID)
@@ -40,7 +46,7 @@ func Verify(f *Func) error {
 				}
 			}
 			for _, tg := range in.Targets {
-				if !blockSet[tg] {
+				if !inFunc(tg) {
 					return fmt.Errorf("%s b%d: branch to removed block b%d", f.Name, b.ID, tg.ID)
 				}
 				found := false
@@ -58,11 +64,11 @@ func Verify(f *Func) error {
 					return fmt.Errorf("%s b%d: dst v%d out of range", f.Name, b.ID, in.Dst)
 				}
 				if f.SSA {
-					if prev, ok := defs[in.Dst]; ok {
+					if defined.Has(int(in.Dst)) {
 						return fmt.Errorf("%s b%d: v%d redefined (first at %s)",
-							f.Name, b.ID, in.Dst, prev)
+							f.Name, b.ID, in.Dst, firstDef(f, in.Dst))
 					}
-					defs[in.Dst] = in
+					defined.Add(int(in.Dst))
 				}
 			}
 			for _, a := range in.Args {
@@ -72,7 +78,7 @@ func Verify(f *Func) error {
 			}
 		}
 		for _, p := range b.Preds {
-			if !blockSet[p] {
+			if !inFunc(p) {
 				return fmt.Errorf("%s b%d: stale pred b%d", f.Name, b.ID, p.ID)
 			}
 			ok := false
@@ -83,6 +89,19 @@ func Verify(f *Func) error {
 			}
 			if !ok {
 				return fmt.Errorf("%s b%d: pred b%d has no edge here", f.Name, b.ID, p.ID)
+			}
+		}
+	}
+	return nil
+}
+
+// firstDef returns the first instruction of f, in block order, that
+// defines v.
+func firstDef(f *Func, v Value) *Instr {
+	for _, b := range f.Blocks {
+		for _, in := range b.Instrs {
+			if in.Dst == v {
+				return in
 			}
 		}
 	}

@@ -80,7 +80,7 @@ func (lw *lowerer) lowerFunc(fd *ast.FuncDecl) {
 	fl.popScope()
 	fl.checkRegionEdges()
 	f.ComputePreds()
-	f.RemoveUnreachable()
+	f.RemoveUnreachable(nil)
 	lw.mod.AddFunc(f)
 }
 

@@ -18,8 +18,8 @@ func lowerSrc(t *testing.T, src string) *ir.Module {
 		t.Fatalf("lower: %v", err)
 	}
 	for _, f := range mod.Funcs {
-		ir.BuildSSA(f)
-		if err := ir.Verify(f); err != nil {
+		ir.BuildSSA(f, nil)
+		if err := ir.Verify(f, nil); err != nil {
 			t.Fatalf("verify %s: %v", f.Name, err)
 		}
 	}

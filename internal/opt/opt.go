@@ -25,11 +25,12 @@ type Stats struct {
 }
 
 // SubPass is one named optimizer sub-pass; Run returns the number of IR
-// changes it made. Sub-passes are registered individually in the compiler
-// pipeline so each can be timed, dumped, and disabled for ablation.
+// changes it made, taking its tables from the scratch (nil is allowed).
+// Sub-passes are registered individually in the compiler pipeline so each
+// can be timed, dumped, and disabled for ablation.
 type SubPass struct {
 	Name string
-	Run  func(*ir.Func) int
+	Run  func(*ir.Func, *ir.Scratch) int
 }
 
 // MaxRounds bounds the optimizer fixpoint iteration.
@@ -70,10 +71,11 @@ func (s *Stats) addTo(pass string, n int) {
 // Optimize is the standalone driver for direct users and tests.
 func Optimize(f *ir.Func) Stats {
 	var total Stats
+	s := new(ir.Scratch)
 	for i := 0; i < MaxRounds; i++ {
 		changed := 0
 		for _, sp := range SubPasses() {
-			n := sp.Run(f)
+			n := sp.Run(f, s)
 			changed += n
 			total.addTo(sp.Name, n)
 		}
@@ -94,7 +96,7 @@ func sameScope(def, use *ir.Block) bool {
 
 // ConstFold evaluates instructions whose operands are compile-time
 // constants, rewriting them to OpConst/OpFConst.
-func ConstFold(f *ir.Func) int {
+func ConstFold(f *ir.Func, _ *ir.Scratch) int {
 	n := 0
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {
@@ -247,7 +249,7 @@ func foldInstr(f *ir.Func, in *ir.Instr) (int64, bool) {
 
 // FoldBranches rewrites branches on compile-time constants into jumps,
 // removing the dead edges (and their φ arguments).
-func FoldBranches(f *ir.Func) int {
+func FoldBranches(f *ir.Func, s *ir.Scratch) int {
 	n := 0
 	for _, b := range f.Blocks {
 		term := b.Term()
@@ -303,7 +305,7 @@ func FoldBranches(f *ir.Func) int {
 		}
 	}
 	if n > 0 {
-		f.RemoveUnreachable()
+		f.RemoveUnreachable(s)
 	}
 	return n
 }
@@ -312,14 +314,17 @@ func FoldBranches(f *ir.Func) int {
 
 // CopyProp forwards OpCopy sources to their uses and simplifies φs whose
 // arguments are all identical, subject to the region-scope restriction.
-func CopyProp(f *ir.Func) int {
+func CopyProp(f *ir.Func, s *ir.Scratch) int {
+	defer s.Release(s.Mark())
 	n := 0
-	// Resolve copy chains.
-	src := map[ir.Value]ir.Value{}
+	// Resolve copy chains: src[v] is the value v copies (0: none).
+	src := s.Values(f.NumValues())
+	nsrc := 0
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {
 			if in.Op == ir.OpCopy && in.Dst != 0 {
 				src[in.Dst] = in.Args[0]
+				nsrc++
 			}
 			if in.Op == ir.OpPhi && in.Dst != 0 && len(in.Args) > 0 {
 				same := true
@@ -331,20 +336,16 @@ func CopyProp(f *ir.Func) int {
 				}
 				if same && in.Args[0] != in.Dst {
 					src[in.Dst] = in.Args[0]
+					nsrc++
 				}
 			}
 		}
 	}
 	resolve := func(v ir.Value) ir.Value {
-		seen := 0
-		for {
-			s, ok := src[v]
-			if !ok || seen > len(src) {
-				return v
-			}
-			v = s
-			seen++
+		for seen := 0; seen <= nsrc && src[v] != 0; seen++ {
+			v = src[v]
 		}
+		return v
 	}
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {
@@ -371,99 +372,134 @@ func CopyProp(f *ir.Func) int {
 // Constants are skipped (ConstFold canonicalizes toward OpConst, so folding
 // duplicate constants into copies would just ping-pong); copy chains are
 // resolved when forming keys so copies do not hide equivalences.
-func CSE(f *ir.Func) int {
-	dt := ir.BuildDomTree(f)
+func CSE(f *ir.Func, s *ir.Scratch) int {
+	defer s.Release(s.Mark())
+	cs := cse{f: f, dt: ir.BuildDomTree(f, s)}
 	n := 0
-	type key struct {
-		op   ir.Op
-		a, b ir.Value
-		c    int64
-		sym  string
-		slot int
+	for _, b := range f.Blocks {
+		for _, in := range b.Instrs {
+			if cseCandidate(in) {
+				n++
+			}
+		}
 	}
-	avail := map[key][]ir.Value{} // stack of available values per key
+	cs.avail = make(map[cseKey]ir.Value, n)
+	return cs.walk(f.Entry())
+}
 
-	type constKey struct {
-		op ir.Op
-		c  int64
-	}
-	canon := map[constKey]ir.Value{}
-	// chase resolves copy chains and gives equal literal constants a single
-	// representative, purely for key formation.
-	chase := func(v ir.Value) ir.Value {
-		for i := 0; i < 64; i++ {
-			def := f.DefOf(v)
-			if def == nil {
-				return v
-			}
-			switch def.Op {
-			case ir.OpCopy:
-				v = def.Args[0]
-				continue
-			case ir.OpConst:
-				ck := constKey{ir.OpConst, def.Const}
-				if r, ok := canon[ck]; ok {
-					return r
-				}
-				canon[ck] = v
-				return v
-			case ir.OpFConst:
-				ck := constKey{ir.OpFConst, int64(math.Float64bits(def.F))}
-				if r, ok := canon[ck]; ok {
-					return r
-				}
-				canon[ck] = v
-				return v
-			}
+// cseKey is an instruction's value-numbering key. It is not dense (an op,
+// two value numbers, a constant, a symbol and a slot), so the table of
+// available values stays a map.
+type cseKey struct {
+	op   ir.Op
+	a, b ir.Value
+	c    int64
+	sym  string
+	slot int
+}
+
+type constKey struct {
+	op ir.Op
+	c  int64
+}
+
+// cse is one CSE run. avail maps a key to the innermost dominating value
+// computing it; undo holds the entries the walk shadowed or added, so
+// leaving a block restores the table.
+type cse struct {
+	f     *ir.Func
+	dt    *ir.DomTree
+	avail map[cseKey]ir.Value
+	undo  []cseUndo
+	canon map[constKey]ir.Value
+}
+
+type cseUndo struct {
+	k    cseKey
+	prev ir.Value // 0: the key had no entry
+}
+
+func cseCandidate(in *ir.Instr) bool {
+	return in.Dst != 0 && pure(in) &&
+		in.Op != ir.OpConst && in.Op != ir.OpFConst && in.Op != ir.OpCopy
+}
+
+// chase resolves copy chains and gives equal literal constants a single
+// representative, purely for key formation.
+func (cs *cse) chase(v ir.Value) ir.Value {
+	for i := 0; i < 64; i++ {
+		def := cs.f.DefOf(v)
+		if def == nil {
 			return v
 		}
+		var ck constKey
+		switch def.Op {
+		case ir.OpCopy:
+			v = def.Args[0]
+			continue
+		case ir.OpConst:
+			ck = constKey{ir.OpConst, def.Const}
+		case ir.OpFConst:
+			ck = constKey{ir.OpFConst, int64(math.Float64bits(def.F))}
+		default:
+			return v
+		}
+		if r, ok := cs.canon[ck]; ok {
+			return r
+		}
+		if cs.canon == nil {
+			cs.canon = map[constKey]ir.Value{}
+		}
+		cs.canon[ck] = v
 		return v
 	}
+	return v
+}
 
-	var walk func(b *ir.Block) int
-	walk = func(b *ir.Block) int {
-		var pushed []key
-		removed := 0
-		for _, in := range b.Instrs {
-			if in.Dst == 0 || !pure(in) ||
-				in.Op == ir.OpConst || in.Op == ir.OpFConst || in.Op == ir.OpCopy {
+func (cs *cse) walk(b *ir.Block) int {
+	mark := len(cs.undo)
+	removed := 0
+	for _, in := range b.Instrs {
+		if !cseCandidate(in) {
+			continue
+		}
+		k := cseKey{op: in.Op, c: in.Const, sym: in.Sym, slot: in.Slot}
+		if len(in.Args) > 0 {
+			k.a = cs.chase(in.Args[0])
+		}
+		if len(in.Args) > 1 {
+			k.b = cs.chase(in.Args[1])
+		}
+		if in.Op.IsCommutative() && k.b != 0 && k.b < k.a {
+			k.a, k.b = k.b, k.a
+		}
+		prev := cs.avail[k]
+		if prev != 0 {
+			prevDef := cs.f.DefOf(prev)
+			if prevDef != nil && prevDef.Blk != nil && sameScope(prevDef.Blk, b) {
+				// Rewrite to a copy of the earlier value.
+				in.Op = ir.OpCopy
+				in.Args = []ir.Value{prev}
+				in.Const, in.Sym, in.Slot = 0, "", 0
+				removed++
 				continue
 			}
-			k := key{op: in.Op, c: in.Const, sym: in.Sym, slot: in.Slot}
-			if len(in.Args) > 0 {
-				k.a = chase(in.Args[0])
-			}
-			if len(in.Args) > 1 {
-				k.b = chase(in.Args[1])
-			}
-			if in.Op.IsCommutative() && k.b != 0 && k.b < k.a {
-				k.a, k.b = k.b, k.a
-			}
-			if vs := avail[k]; len(vs) > 0 {
-				prev := vs[len(vs)-1]
-				prevDef := f.DefOf(prev)
-				if prevDef != nil && prevDef.Blk != nil && sameScope(prevDef.Blk, b) {
-					// Rewrite to a copy of the earlier value.
-					in.Op = ir.OpCopy
-					in.Args = []ir.Value{prev}
-					in.Const, in.Sym, in.Slot = 0, "", 0
-					removed++
-					continue
-				}
-			}
-			avail[k] = append(avail[k], in.Dst)
-			pushed = append(pushed, k)
 		}
-		for _, c := range dt.Children[b] {
-			removed += walk(c)
-		}
-		for _, k := range pushed {
-			avail[k] = avail[k][:len(avail[k])-1]
-		}
-		return removed
+		cs.avail[k] = in.Dst
+		cs.undo = append(cs.undo, cseUndo{k, prev})
 	}
-	n = walk(f.Entry())
-	return n
+	for _, c := range cs.dt.Children(b) {
+		removed += cs.walk(c)
+	}
+	for i := len(cs.undo) - 1; i >= mark; i-- {
+		if u := cs.undo[i]; u.prev != 0 {
+			cs.avail[u.k] = u.prev
+		} else {
+			delete(cs.avail, u.k)
+		}
+	}
+	cs.undo = cs.undo[:mark]
+	return removed
 }
 
 func pure(in *ir.Instr) bool {
@@ -478,12 +514,13 @@ func pure(in *ir.Instr) bool {
 
 // DCE removes pure instructions whose results are never used, with
 // mark-and-sweep so that mutually-referencing dead φ cycles die too.
-func DCE(f *ir.Func) int {
-	live := map[ir.Value]bool{}
-	var work []ir.Value
+func DCE(f *ir.Func, s *ir.Scratch) int {
+	defer s.Release(s.Mark())
+	live := s.Bits(f.NumValues())
+	work := s.Values(f.NumValues())[:0]
 	mark := func(v ir.Value) {
-		if v != 0 && !live[v] {
-			live[v] = true
+		if v != 0 && !live.Has(int(v)) {
+			live.Add(int(v))
 			work = append(work, v)
 		}
 	}
@@ -523,7 +560,7 @@ func DCE(f *ir.Func) int {
 	for _, b := range f.Blocks {
 		kept := b.Instrs[:0]
 		for _, in := range b.Instrs {
-			if in.Dst != 0 && !live[in.Dst] && removable(in) {
+			if in.Dst != 0 && !live.Has(int(in.Dst)) && removable(in) {
 				n++
 				continue
 			}

@@ -21,7 +21,7 @@ func compileSSA(t *testing.T, src string) *ir.Module {
 		t.Fatalf("lower: %v", err)
 	}
 	for _, f := range mod.Funcs {
-		ir.BuildSSA(f)
+		ir.BuildSSA(f, nil)
 	}
 	return mod
 }

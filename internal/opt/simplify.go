@@ -11,7 +11,7 @@ import (
 // identity operations become copies. (This is what an ordinary optimizing C
 // compiler does statically; the stitcher applies the same rewrites
 // dynamically with run-time constant values.)
-func Simplify(f *ir.Func) int {
+func Simplify(f *ir.Func, _ *ir.Scratch) int {
 	n := 0
 	for _, b := range f.Blocks {
 		for idx := 0; idx < len(b.Instrs); idx++ {

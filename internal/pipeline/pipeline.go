@@ -63,6 +63,11 @@ type Context struct {
 	// dump only on rounds where they changed something).
 	DumpIR func(pass, fn, text string)
 
+	// Scratch backs the dense per-function tables passes build (see
+	// ir.Scratch). It belongs to this compile alone: nothing taken from it
+	// may reach Output. Nil is allowed; every table is then made fresh.
+	Scratch *ir.Scratch
+
 	// Artifacts, produced by successive passes.
 	File    *ast.File
 	Module  *ir.Module
@@ -227,7 +232,7 @@ func (m *Manager) verify(ctx *Context, after string) error {
 	start := time.Now()
 	var err error
 	for _, f := range ctx.Module.Funcs {
-		if err = ir.Verify(f); err != nil {
+		if err = ir.Verify(f, ctx.Scratch); err != nil {
 			err = fmt.Errorf("internal: verify after %s: %w", after, err)
 			break
 		}

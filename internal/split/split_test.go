@@ -19,7 +19,7 @@ func splitFirst(t *testing.T, src, fn string) (*ir.Func, *Result) {
 		t.Fatalf("lower: %v", err)
 	}
 	f := mod.FuncIndex[fn]
-	ir.BuildSSA(f)
+	ir.BuildSSA(f, nil)
 	res, err := Split(f, f.Regions[0])
 	if err != nil {
 		t.Fatalf("split: %v", err)
@@ -230,7 +230,7 @@ int f(int *a, int n, int m) {
 		t.Fatal(err)
 	}
 	f := mod.FuncIndex["f"]
-	ir.BuildSSA(f)
+	ir.BuildSSA(f, nil)
 	if _, err := Split(f, f.Regions[0]); err == nil {
 		t.Error("expected illegal-unroll error for non-constant bound")
 	}
