@@ -8,7 +8,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"sort"
 	"strings"
 
 	"dyncc/internal/core"
@@ -27,18 +26,6 @@ func (l *passList) Set(v string) error {
 		}
 	}
 	return nil
-}
-
-// sortedConsts returns the constant values in ascending order.
-func sortedConsts(m map[ir.Value]bool) []ir.Value {
-	var vs []ir.Value
-	for v, ok := range m {
-		if ok {
-			vs = append(vs, v)
-		}
-	}
-	sort.Slice(vs, func(i, j int) bool { return vs[i] < vs[j] })
-	return vs
 }
 
 func main() {
@@ -108,7 +95,8 @@ func main() {
 			fmt.Printf("=== analysis %s region %d\n", r.Fn.Name, r.ID)
 			res := sr.Analysis
 			fmt.Printf("run-time constants:")
-			for _, v := range sortedConsts(res.Const) {
+			for c := res.Const.Next(0); c >= 0; c = res.Const.Next(c + 1) {
+				v := ir.Value(c)
 				name := r.Fn.ValueInfo(v).Name
 				if name == "" {
 					fmt.Printf(" v%d", v)
@@ -122,14 +110,14 @@ func main() {
 					continue
 				}
 				mark := ""
-				if res.ConstMerge[b] && len(b.Preds) > 1 {
+				if res.ConstMerge(b) && len(b.Preds) > 1 {
 					mark = "  [constant merge]"
 				}
-				fmt.Printf("  b%d reach %s%s\n", b.ID, res.BlockReach[b], mark)
+				fmt.Printf("  b%d reach %s%s\n", b.ID, res.BlockReach(b), mark)
 			}
 			fmt.Printf("holes (value -> table slot):")
-			for v, slot := range sr.Holes {
-				fmt.Printf(" v%d->%s", v, slot)
+			for _, h := range sr.Holes {
+				fmt.Printf(" v%d->%s", h.V, h.Slot)
 			}
 			fmt.Println()
 		}

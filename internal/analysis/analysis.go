@@ -11,24 +11,48 @@ import (
 type Result struct {
 	Region *ir.Region
 
-	// Const reports which SSA values are run-time constants.
-	Const map[ir.Value]bool
-
-	// BlockReach is the reachability condition at each block entry.
-	BlockReach map[*ir.Block]Cond
+	// Const holds the SSA values that are run-time constants.
+	Const ir.Bitset
 
 	// EdgeReach is the reachability condition on each CFG edge into a
 	// region block, keyed by (successor, predecessor index).
 	EdgeReach map[EdgeKey]Cond
 
-	// ConstMerge marks merge blocks whose predecessors' reachability
-	// conditions are pairwise mutually exclusive (or which are unrolled
-	// loop heads), enabling the idempotent-φ rule.
-	ConstMerge map[*ir.Block]bool
-
 	// ConstBranch marks Br/Switch terminators whose predicate is a
 	// run-time constant.
 	ConstBranch map[*ir.Instr]bool
+
+	// Per region block, by position in the region's reverse postorder:
+	// posOf[b.ID] is b's position (-1 outside the region), reach the
+	// reachability condition at its entry and constMerge its merge flag.
+	posOf      []int32
+	reach      []Cond
+	constMerge []bool
+}
+
+// pos returns b's position among the analyzed blocks, or -1.
+func (r *Result) pos(b *ir.Block) int {
+	if b.ID < len(r.posOf) {
+		return int(r.posOf[b.ID])
+	}
+	return -1
+}
+
+// BlockReach returns the reachability condition at b's entry (the zero,
+// unreachable condition for blocks outside the region).
+func (r *Result) BlockReach(b *ir.Block) Cond {
+	if p := r.pos(b); p >= 0 {
+		return r.reach[p]
+	}
+	return Cond{}
+}
+
+// ConstMerge reports whether b is a merge block whose predecessors'
+// reachability conditions are pairwise mutually exclusive (or an unrolled
+// loop head), enabling the idempotent-φ rule.
+func (r *Result) ConstMerge(b *ir.Block) bool {
+	p := r.pos(b)
+	return p >= 0 && r.constMerge[p]
 }
 
 // EdgeKey identifies a CFG edge by its destination and the predecessor slot
@@ -39,28 +63,31 @@ type EdgeKey struct {
 }
 
 // Analyze runs the paper's interleaved optimistic fixpoint over region r of
-// function f. f must be in SSA form. forcedNonConst lists values the caller
+// function f. f must be in SSA form. forcedNonConst holds values the caller
 // requires to be treated as non-constant (used by the splitter to demote
-// values whose set-up computation cannot be scheduled).
+// values whose set-up computation cannot be scheduled); nil holds none.
+// The reverse postorder it starts from comes from s (nil is allowed).
 //
 // Inside the fixpoint, blocks are addressed by their position in the
 // region's reverse postorder, CFG edges by dense slots, and reachability
 // conditions by their IDs in a condTable private to this call; the result
 // maps are filled once, after convergence.
-func Analyze(f *ir.Func, r *ir.Region, forcedNonConst map[ir.Value]bool) (*Result, error) {
+func Analyze(f *ir.Func, r *ir.Region, forcedNonConst ir.Bitset, s *ir.Scratch) (*Result, error) {
 	if !f.SSA {
 		return nil, fmt.Errorf("analysis: %s is not in SSA form", f.Name)
 	}
 	inRegion := func(b *ir.Block) bool { return b != nil && b.Region == r }
 
 	// Region blocks in reverse postorder (within the whole function's RPO).
-	rpo := f.ReversePostorder()
+	mark := s.Mark()
+	rpo := s.ReversePostorder(f)
 	blocks := make([]*ir.Block, 0, len(rpo))
 	for _, b := range rpo {
 		if inRegion(b) {
 			blocks = append(blocks, b)
 		}
 	}
+	s.Release(mark)
 	nb := 0
 	for _, b := range blocks {
 		nb = max(nb, b.ID+1)
@@ -192,7 +219,7 @@ func Analyze(f *ir.Func, r *ir.Region, forcedNonConst map[ir.Value]bool) (*Resul
 			}
 		}
 	}
-	for v := range forcedNonConst {
+	for v := forcedNonConst.Next(0); v >= 0 && v < nv; v = forcedNonConst.Next(v + 1) {
 		isConst[v] = false
 		seed[v] = false
 	}
@@ -214,6 +241,7 @@ func Analyze(f *ir.Func, r *ir.Region, forcedNonConst map[ir.Value]bool) (*Resul
 	}
 	// rooted caches rootedAtGlobal per load address: 0 unknown, 1 no, 2 yes.
 	rooted := make([]uint8, nv)
+	var walked ir.Bitset // rootedAtGlobal's visited set, made on first use
 
 	t := newCondTable(blocks)
 	conds := make([]uint32, nblk+edgeBase[nblk])
@@ -338,7 +366,12 @@ func Analyze(f *ir.Func, r *ir.Region, forcedNonConst map[ir.Value]bool) (*Resul
 					if a := in.Args[0]; !in.Dynamic && isConst[a] {
 						if rooted[a] == 0 {
 							rooted[a] = 1
-							if rootedAtGlobal(f, a) {
+							if walked == nil {
+								walked = ir.NewBitset(nv)
+							} else {
+								clear(walked)
+							}
+							if rootedAtGlobal(f, a, walked) {
 								rooted[a] = 2
 							}
 						}
@@ -379,25 +412,22 @@ func Analyze(f *ir.Func, r *ir.Region, forcedNonConst map[ir.Value]bool) (*Resul
 		}
 	}
 
+	exported := t.export(conds) // reach, then edge
 	res := &Result{
 		Region:      r,
-		Const:       make(map[ir.Value]bool, count(isConst)),
-		BlockReach:  make(map[*ir.Block]Cond, len(blocks)),
+		Const:       ir.NewBitset(nv),
 		EdgeReach:   make(map[EdgeKey]Cond, len(edge)),
-		ConstMerge:  make(map[*ir.Block]bool, count(constMerge)),
 		ConstBranch: make(map[*ir.Instr]bool, count(constBranch)),
+		posOf:       posOf,
+		reach:       exported[:nblk],
+		constMerge:  constMerge,
 	}
 	for v, c := range isConst {
 		if c {
-			res.Const[ir.Value(v)] = true
+			res.Const.Add(v)
 		}
 	}
-	exported := t.export(conds) // reach, then edge
 	for p, b := range blocks {
-		res.BlockReach[b] = exported[p]
-		if constMerge[p] {
-			res.ConstMerge[b] = true
-		}
 		if constBranch[p] {
 			res.ConstBranch[b.Term()] = true
 		}
@@ -423,14 +453,14 @@ func count(bs []bool) int {
 
 // rootedAtGlobal reports whether the address computation of v involves a
 // global's address (bounded def-chain walk over pure address arithmetic).
-func rootedAtGlobal(f *ir.Func, v ir.Value) bool {
-	seen := map[ir.Value]bool{}
+// seen is the walk's visited set, empty on entry.
+func rootedAtGlobal(f *ir.Func, v ir.Value, seen ir.Bitset) bool {
 	var walk func(v ir.Value, depth int) bool
 	walk = func(v ir.Value, depth int) bool {
-		if depth > 64 || seen[v] {
+		if depth > 64 || seen.Has(int(v)) {
 			return false
 		}
-		seen[v] = true
+		seen.Add(int(v))
 		def := f.DefOf(v)
 		if def == nil {
 			return false

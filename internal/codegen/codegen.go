@@ -32,8 +32,9 @@ type Options struct {
 // Compile translates a lowered (and, in dynamic mode, split) module into a
 // VM program plus region templates. splits maps each region to its split
 // result; a nil map (or missing entries) means the region is compiled
-// statically and only instrumented.
-func Compile(mod *ir.Module, splits map[*ir.Region]*split.Result, opts Options) (*Output, error) {
+// statically and only instrumented. The per-function tables come from s
+// (nil is allowed); nothing taken from it reaches the Output.
+func Compile(mod *ir.Module, splits map[*ir.Region]*split.Result, opts Options, s *ir.Scratch) (*Output, error) {
 	prog := &vm.Program{
 		FuncIndex:   map[string]int{},
 		GlobalWords: mod.GlobalWords,
@@ -62,11 +63,12 @@ func Compile(mod *ir.Module, splits map[*ir.Region]*split.Result, opts Options) 
 			mod: mod, f: f, fid: fi,
 			splits:    splits,
 			regionIdx: regionIdx,
-			labels:    map[*ir.Block]int{},
-			holes:     map[ir.Value]split.SlotRef{},
 			noFuse:    opts.NoFuse,
+			scratch:   s,
 		}
+		mark := s.Mark()
 		seg, regions, err := fg.gen()
+		s.Release(mark)
 		if err != nil {
 			return nil, fmt.Errorf("codegen %s: %w", f.Name, err)
 		}
@@ -99,16 +101,21 @@ type funcGen struct {
 	splits    map[*ir.Region]*split.Result
 	regionIdx map[*ir.Region]int
 
-	alloc  *regalloc.Allocation
-	code   []vm.Inst
-	labels map[*ir.Block]int
+	alloc *regalloc.Allocation
+	code  []vm.Inst
+	// labels[b.ID] is block b's pc, -1 until b is emitted.
+	labels []int32
 	fixups []struct {
 		pc  int
 		blk *ir.Block
 	}
 	regionOf []int16
 	setupOf  []bool
-	holes    map[ir.Value]split.SlotRef
+	// holeSlot[v] is hole v's table slot, for the values in isHole: the
+	// holes of every region of the function, indexed by value.
+	holeSlot []split.SlotRef
+	isHole   ir.Bitset
+	scratch  *ir.Scratch
 
 	exitFixups []exitFixup
 	static     bool // this function's regions are compiled statically
@@ -121,16 +128,20 @@ type funcGen struct {
 // gen runs the per-function backend pipeline and emits the segment.
 func (fg *funcGen) gen() (*vm.Segment, []*tmpl.Region, error) {
 	f := fg.f
+	s := fg.scratch
 
 	keepSwitch := map[*ir.Instr]bool{}
+	fg.isHole = s.Bits(f.NumValues())
+	fg.holeSlot = make([]split.SlotRef, f.NumValues())
 	for _, r := range f.Regions {
 		sr := fg.splits[r]
 		if sr == nil {
 			fg.static = true
 			continue
 		}
-		for v, slot := range sr.Holes {
-			fg.holes[v] = slot
+		for _, h := range sr.Holes {
+			fg.isHole.Add(int(h.V))
+			fg.holeSlot[h.V] = h.Slot
 		}
 		for br := range sr.BranchSlot {
 			if br.Op == ir.OpSwitch {
@@ -154,27 +165,31 @@ func (fg *funcGen) gen() (*vm.Segment, []*tmpl.Region, error) {
 	// lack registers. Annotated constants defined in ordinary code (the
 	// seeds) are holes in templates *and* live register values elsewhere
 	// (set-up stores them into the table; keyed dispatch reads them).
-	holeSet := map[ir.Value]bool{}
-	for v := range fg.holes {
-		if def := f.DefOf(v); def != nil && def.Blk != nil && def.Blk.Template {
-			holeSet[v] = true
+	noReg := s.Bits(f.NumValues())
+	for v := fg.isHole.Next(0); v >= 0; v = fg.isHole.Next(v + 1) {
+		if def := f.DefOf(ir.Value(v)); def != nil && def.Blk != nil && def.Blk.Template {
+			noReg.Add(v)
 		}
 	}
-	Legalize(f, fg.holes)
-	fg.alloc = regalloc.Allocate(f, holeSet)
+	Legalize(f, fg.isHole)
+	fg.alloc = regalloc.Allocate(f, noReg, s)
+	fg.labels = s.Int32s(f.NumBlockIDs())
+	for i := range fg.labels {
+		fg.labels[i] = -1
+	}
 
 	// Emission order: DFS preorder over the CFG; template blocks are
 	// traversed (their successors may be ordinary continuation code) but
 	// not emitted. A region's set-up entry immediately follows its
 	// OpDynEnter block, which falls through into it.
 	var order []*ir.Block
-	seen := map[*ir.Block]bool{}
+	seen := s.Bits(f.NumBlockIDs())
 	var dfs func(b *ir.Block)
 	dfs = func(b *ir.Block) {
-		if seen[b] {
+		if seen.Has(b.ID) {
 			return
 		}
-		seen[b] = true
+		seen.Add(b.ID)
 		if !b.Template {
 			order = append(order, b)
 		}
@@ -190,7 +205,7 @@ func (fg *funcGen) gen() (*vm.Segment, []*tmpl.Region, error) {
 		fg.add(vm.Inst{Op: vm.SUBI, Rd: vm.RSP, Rs: vm.RSP, Imm: frame})
 	}
 	for i, p := range f.Params {
-		loc := fg.alloc.Loc[p]
+		loc := fg.alloc.LocOf(p)
 		src := vm.RA0 + vm.Reg(i)
 		if loc.Spilled {
 			fg.add(vm.Inst{Op: vm.ST, Rs: vm.RSP, Imm: int64(loc.Slot), Rt: src})
@@ -200,7 +215,7 @@ func (fg *funcGen) gen() (*vm.Segment, []*tmpl.Region, error) {
 	}
 
 	for _, b := range order {
-		fg.labels[b] = len(fg.code)
+		fg.labels[b.ID] = int32(len(fg.code))
 		rid, setup := fg.blockAttribution(b)
 		for _, in := range b.Instrs {
 			if err := fg.emitInstr(in, b, rid, setup); err != nil {
@@ -227,7 +242,7 @@ func (fg *funcGen) gen() (*vm.Segment, []*tmpl.Region, error) {
 	}
 	// Resolve region exit arcs now that function pcs are final.
 	for _, fx := range fg.exitFixups {
-		pc, ok := fg.labels[fx.target]
+		pc, ok := fg.label(fx.target)
 		if !ok {
 			return nil, nil, fmt.Errorf("region exit to unemitted block b%d", fx.target.ID)
 		}
@@ -246,7 +261,7 @@ func (fg *funcGen) gen() (*vm.Segment, []*tmpl.Region, error) {
 	for _, entries := range fg.tables {
 		tbl := make([]int, len(entries))
 		for i, blk := range entries {
-			pc, ok := fg.labels[blk]
+			pc, ok := fg.label(blk)
 			if !ok {
 				return nil, nil, fmt.Errorf("jump table entry to unemitted block b%d", blk.ID)
 			}
@@ -262,7 +277,7 @@ func (fg *funcGen) gen() (*vm.Segment, []*tmpl.Region, error) {
 		any := false
 		for _, r := range f.Regions {
 			if fg.splits[r] == nil {
-				if pc, ok := fg.labels[r.Entry]; ok {
+				if pc, ok := fg.label(r.Entry); ok {
 					entry[pc] = int32(fg.regionIdx[r])
 					any = true
 				}
@@ -274,6 +289,14 @@ func (fg *funcGen) gen() (*vm.Segment, []*tmpl.Region, error) {
 	}
 	seg.Prepare()
 	return seg, regions, nil
+}
+
+// label returns block b's pc, if it has been emitted.
+func (fg *funcGen) label(b *ir.Block) (int, bool) {
+	if b.ID < len(fg.labels) && fg.labels[b.ID] >= 0 {
+		return int(fg.labels[b.ID]), true
+	}
+	return 0, false
 }
 
 // blockAttribution returns the region index (or -1) and set-up flag for
@@ -315,7 +338,7 @@ func (s sink) add(in vm.Inst) int {
 }
 
 func (fg *funcGen) srcReg(v ir.Value, temp vm.Reg, s sink) vm.Reg {
-	loc := fg.alloc.Loc[v]
+	loc := fg.alloc.LocOf(v)
 	if !loc.Spilled {
 		if loc.Reg == 0 {
 			return vm.RZero // undefined value: reads as 0
@@ -329,7 +352,7 @@ func (fg *funcGen) srcReg(v ir.Value, temp vm.Reg, s sink) vm.Reg {
 // dstReg returns the register to write v into and, when spilled, a store
 // to flush afterwards.
 func (fg *funcGen) dstReg(v ir.Value) (vm.Reg, *vm.Inst) {
-	loc := fg.alloc.Loc[v]
+	loc := fg.alloc.LocOf(v)
 	if !loc.Spilled {
 		if loc.Reg == 0 {
 			return regalloc.TempC, nil // dead value: scratch
@@ -340,9 +363,11 @@ func (fg *funcGen) dstReg(v ir.Value) (vm.Reg, *vm.Inst) {
 	return regalloc.TempC, &st
 }
 
-func (fg *funcGen) isHole(v ir.Value) (split.SlotRef, bool) {
-	s, ok := fg.holes[v]
-	return s, ok
+func (fg *funcGen) hole(v ir.Value) (split.SlotRef, bool) {
+	if fg.isHole.Has(int(v)) {
+		return fg.holeSlot[v], true
+	}
+	return split.SlotRef{}, false
 }
 
 func (fg *funcGen) slotRef(s split.SlotRef) tmpl.SlotRef {
@@ -403,7 +428,7 @@ func (fg *funcGen) emitBody(in *ir.Instr, s sink) error {
 		flush(s, post)
 	case ir.OpCopy:
 		rd, post := fg.dstReg(in.Dst)
-		if slot, ok := fg.isHole(in.Args[0]); ok && s.holes != nil {
+		if slot, ok := fg.hole(in.Args[0]); ok && s.holes != nil {
 			var pc int
 			if floatHole(in.Args[0]) {
 				pc = s.add(vm.Inst{Op: vm.LDC, Rd: rd})
@@ -468,8 +493,8 @@ func (fg *funcGen) emitBody(in *ir.Instr, s sink) error {
 		// put it there) and must never be displaced by the literal swap.
 		holeInPlay := false
 		if s.holes != nil {
-			_, h0 := fg.isHole(args[0])
-			_, h1 := fg.isHole(args[1])
+			_, h0 := fg.hole(args[0])
+			_, h1 := fg.hole(args[1])
 			holeInPlay = h0 || h1
 		}
 		if _, lit1 := fg.literalOf(args[1]); !lit1 && !holeInPlay && in.Op.IsCommutative() {
@@ -479,7 +504,7 @@ func (fg *funcGen) emitBody(in *ir.Instr, s sink) error {
 		}
 		rs := fg.srcReg(args[0], regalloc.TempA, s)
 		rd, post := fg.dstReg(in.Dst)
-		if slot, hok := fg.isHole(args[1]); hok && s.holes != nil {
+		if slot, hok := fg.hole(args[1]); hok && s.holes != nil {
 			immOp := vm.RegToImmForm(op)
 			if immOp == vm.NOP {
 				return fmt.Errorf("no immediate form for %s with hole operand", op)

@@ -26,7 +26,7 @@ func compileProg(t *testing.T, src string, dynamic bool) (*codegen.Output, *ir.M
 		ir.BuildSSA(f, nil)
 		if dynamic {
 			for _, r := range f.Regions {
-				sr, err := split.Split(f, r)
+				sr, err := split.Split(f, r, nil)
 				if err != nil {
 					t.Fatalf("split: %v", err)
 				}
@@ -34,7 +34,7 @@ func compileProg(t *testing.T, src string, dynamic bool) (*codegen.Output, *ir.M
 			}
 		}
 	}
-	out, err := codegen.Compile(mod, splits, codegen.Options{})
+	out, err := codegen.Compile(mod, splits, codegen.Options{}, nil)
 	if err != nil {
 		t.Fatalf("codegen: %v", err)
 	}

@@ -126,7 +126,7 @@ func (fg *funcGen) branchTo(in vm.Inst, target *ir.Block) {
 
 func (fg *funcGen) resolveFixups() {
 	for _, fx := range fg.fixups {
-		t, ok := fg.labels[fx.blk]
+		t, ok := fg.label(fx.blk)
 		if !ok {
 			// Branch into a template block: never executed directly (the
 			// runtime transfers control); park it on itself.
@@ -201,8 +201,10 @@ func (fg *funcGen) peephole() {
 		}
 	}
 	fg.code, fg.regionOf, fg.setupOf = code, regionOf, setupOf
-	for b, pc := range fg.labels {
-		fg.labels[b] = newpc[pc]
+	for id, pc := range fg.labels {
+		if pc >= 0 {
+			fg.labels[id] = int32(newpc[pc])
+		}
 	}
 }
 
@@ -217,13 +219,15 @@ func (fg *funcGen) fuse() {
 	}
 	leaders := make([]int, 0, len(fg.labels))
 	for _, pc := range fg.labels {
-		leaders = append(leaders, pc)
+		if pc >= 0 {
+			leaders = append(leaders, int(pc))
+		}
 	}
 	var entries []int
 	if fg.static {
 		for _, r := range fg.f.Regions {
 			if fg.splits[r] == nil {
-				if pc, ok := fg.labels[r.Entry]; ok {
+				if pc, ok := fg.label(r.Entry); ok {
 					entries = append(entries, pc)
 				}
 			}
@@ -236,8 +240,10 @@ func (fg *funcGen) fuse() {
 		EntryPCs: entries,
 	})
 	fg.code, fg.regionOf, fg.setupOf = fr.Code, fr.RegionOf, fr.SetupOf
-	for b, pc := range fg.labels {
-		fg.labels[b] = fr.PCMap[pc]
+	for id, pc := range fg.labels {
+		if pc >= 0 {
+			fg.labels[id] = int32(fr.PCMap[pc])
+		}
 	}
 }
 
@@ -263,41 +269,43 @@ func (fg *funcGen) emitTemplates(r *ir.Region, sr *split.Result) (*tmpl.Region, 
 	for i := range r.Keys {
 		tr.KeyRegs = append(tr.KeyRegs, regalloc.TempA+vm.Reg(i))
 	}
-	tr.Shareable = regionShareable(fg.f, r)
+	tr.Shareable = regionShareable(fg.f, r, fg.scratch)
 	tr.Auto = r.Auto
 	if r.Auto {
 		// Deopt target: the region's set-up entry in the function segment.
 		// emitTemplates runs after fuse(), so labels are final. A failed
 		// guard re-runs set-up with the live key values and reaches
 		// DYNSTITCH, which routes to the generic tier for that call.
-		pc, ok := fg.labels[sr.SetupEntry]
+		pc, ok := fg.label(sr.SetupEntry)
 		if !ok {
 			return nil, fmt.Errorf("auto region %s: set-up entry not emitted", tr.Name)
 		}
 		tr.DeoptPC = pc
 	}
 
-	// Collect template blocks reachable from the template entry.
+	// Collect template blocks reachable from the template entry, in
+	// depth-first preorder; pos[b.ID] is b's index among them plus one.
 	var blocks []*ir.Block
-	index := map[*ir.Block]int{}
+	pos := fg.scratch.Int32s(fg.f.NumBlockIDs())
+	index := func(b *ir.Block) (int, bool) {
+		if b.ID < len(pos) && pos[b.ID] > 0 {
+			return int(pos[b.ID]) - 1, true
+		}
+		return 0, false
+	}
 	var collect func(b *ir.Block)
 	collect = func(b *ir.Block) {
-		if _, ok := index[b]; ok || !b.Template {
+		if _, ok := index(b); ok || !b.Template {
 			return
 		}
-		index[b] = len(blocks)
 		blocks = append(blocks, b)
+		pos[b.ID] = int32(len(blocks))
 		for _, s := range b.Succs() {
 			collect(s)
 		}
 	}
 	collect(sr.TemplateEntry)
-	tr.Entry = index[sr.TemplateEntry]
-
-	loopIdx := map[*ir.Loop]int{}
-	for _, l := range r.Loops {
-		loopIdx[l] = l.ID
-	}
+	tr.Entry, _ = index(sr.TemplateEntry)
 
 	for _, b := range blocks {
 		tb := &tmpl.Block{IRID: b.ID, LoopID: -1}
@@ -315,11 +323,12 @@ func (fg *funcGen) emitTemplates(r *ir.Region, sr *split.Result) (*tmpl.Region, 
 			return nil, fmt.Errorf("template block b%d lacks terminator", b.ID)
 		}
 		edge := func(t *ir.Block, si int) tmpl.Edge {
-			if ti, ok := index[t]; ok {
+			if ti, ok := index(t); ok {
 				return tmpl.Edge{Block: ti}
 			}
+			bi, _ := index(b)
 			fg.exitFixups = append(fg.exitFixups, exitFixup{
-				region: tr, blk: index[b], succ: si, target: t,
+				region: tr, blk: bi, succ: si, target: t,
 			})
 			return tmpl.Edge{Block: -1}
 		}
@@ -361,13 +370,15 @@ func (fg *funcGen) emitTemplates(r *ir.Region, sr *split.Result) (*tmpl.Region, 
 	}
 
 	for _, l := range r.Loops {
+		head, _ := index(l.Head)
+		latch, _ := index(l.Latch)
 		tl := &tmpl.Loop{
 			ID:         l.ID,
 			ParentID:   -1,
 			NextSlot:   sr.NextSlot[l],
 			RecordSize: l.RecordSize,
-			HeadBlock:  index[l.Head],
-			LatchBlock: index[l.Latch],
+			HeadBlock:  head,
+			LatchBlock: latch,
 		}
 		if l.Parent != nil {
 			tl.ParentID = l.Parent.ID
@@ -377,6 +388,5 @@ func (fg *funcGen) emitTemplates(r *ir.Region, sr *split.Result) (*tmpl.Region, 
 		}
 		tr.Loops = append(tr.Loops, tl)
 	}
-	_ = loopIdx
 	return tr, nil
 }

@@ -5,7 +5,6 @@ package codegen
 
 import (
 	"dyncc/internal/ir"
-	"dyncc/internal/split"
 	"dyncc/internal/types"
 )
 
@@ -25,12 +24,17 @@ func LowerSwitches(f *ir.Func, keep map[*ir.Instr]bool) {
 		targets := term.Targets
 		def := targets[len(cases)]
 
-		// Track per-successor occurrence so duplicate edges update the
-		// right predecessor slot.
-		occ := map[*ir.Block]int{}
-		replacePred := func(s *ir.Block, old, new *ir.Block) {
-			k := occ[s]
-			occ[s]++
+		// Edges are rewired in target order (default last), so the k-th
+		// edge to a successor updates its k-th predecessor slot from b:
+		// duplicate edges each keep their own slot.
+		replacePred := func(ti int, old, new *ir.Block) {
+			s := targets[ti]
+			k := 0
+			for _, t := range targets[:ti] {
+				if t == s {
+					k++
+				}
+			}
 			n := 0
 			for i, p := range s.Preds {
 				if p == old {
@@ -72,9 +76,9 @@ func LowerSwitches(f *ir.Func, keep map[*ir.Instr]bool) {
 			br.Blk = cur
 			cur.Instrs = append(cur.Instrs, br)
 
-			replacePred(targets[i], b, cur)
+			replacePred(i, b, cur)
 			if i == len(cases)-1 {
-				replacePred(def, b, cur)
+				replacePred(len(cases), b, cur)
 			} else {
 				next.Preds = []*ir.Block{cur}
 				cur = next
@@ -92,12 +96,10 @@ func LowerSwitches(f *ir.Func, keep map[*ir.Instr]bool) {
 // Legalize rewrites template instructions so that every hole operand sits
 // where the instruction encoding can hold it: the second operand of an
 // integer ALU immediate form, or the immediate of a materializing copy
-// (LI / large-constant-table load). Must run after SSA destruction.
-func Legalize(f *ir.Func, holes map[ir.Value]split.SlotRef) {
-	isHole := func(v ir.Value) bool {
-		_, ok := holes[v]
-		return ok
-	}
+// (LI / large-constant-table load). holes holds the hole values. Must run
+// after SSA destruction.
+func Legalize(f *ir.Func, holes ir.Bitset) {
+	isHole := func(v ir.Value) bool { return holes.Has(int(v)) }
 	for _, b := range f.Blocks {
 		if !b.Template {
 			continue

@@ -25,56 +25,61 @@ import "dyncc/internal/ir"
 // Under these conditions two machines presenting the same key bytes at
 // DYNENTER would stitch bit-identical segments, so handing one machine's
 // segment to the other is indistinguishable from re-stitching.
-func regionShareable(f *ir.Func, r *ir.Region) bool {
-	key := map[ir.Value]bool{}
+func regionShareable(f *ir.Func, r *ir.Region, s *ir.Scratch) bool {
+	defer s.Release(s.Mark())
+	key := s.Bits(f.NumValues())
 	for _, k := range r.Keys {
-		key[k] = true
+		key.Add(int(k))
 	}
 
 	// Values defined inside the set-up subgraph.
-	defined := map[ir.Value]bool{}
-	var setup []*ir.Instr
+	defined := s.Bits(f.NumValues())
+	empty := true
 	for _, b := range f.Blocks {
-		if !b.Setup || b.Region != r {
-			continue
-		}
-		for _, in := range b.Instrs {
-			if in.Dst != 0 {
-				defined[in.Dst] = true
+		if b.Setup && b.Region == r {
+			for _, in := range b.Instrs {
+				if in.Dst != 0 {
+					defined.Add(int(in.Dst))
+				}
+				empty = false
 			}
-			setup = append(setup, in)
 		}
 	}
-	if len(setup) == 0 {
+	if empty {
 		// No set-up at all: the templates have no holes to fill, so the
 		// stitched code is trivially key-independent and shareable.
 		return true
 	}
 
-	for _, in := range setup {
-		switch in.Op {
-		case ir.OpLoad:
-			return false // table contents would alias machine memory
-		case ir.OpStackAddr:
-			return false // frame addresses are not machine-independent
-		case ir.OpCall:
-			if in.Sym != "alloc" {
-				return false
-			}
+	for _, b := range f.Blocks {
+		if !b.Setup || b.Region != r {
+			continue
 		}
-		for _, a := range in.Args {
-			if a == 0 || defined[a] || key[a] {
-				continue
+		for _, in := range b.Instrs {
+			switch in.Op {
+			case ir.OpLoad:
+				return false // table contents would alias machine memory
+			case ir.OpStackAddr:
+				return false // frame addresses are not machine-independent
+			case ir.OpCall:
+				if in.Sym != "alloc" {
+					return false
+				}
 			}
-			def := f.DefOf(a)
-			if def == nil {
-				return false // parameter or unknown: not covered by the key
-			}
-			switch def.Op {
-			case ir.OpConst, ir.OpFConst, ir.OpGlobalAddr:
-				// Machine-independent by construction.
-			default:
-				return false
+			for _, a := range in.Args {
+				if a == 0 || defined.Has(int(a)) || key.Has(int(a)) {
+					continue
+				}
+				def := f.DefOf(a)
+				if def == nil {
+					return false // parameter or unknown: not covered by the key
+				}
+				switch def.Op {
+				case ir.OpConst, ir.OpFConst, ir.OpGlobalAddr:
+					// Machine-independent by construction.
+				default:
+					return false
+				}
 			}
 		}
 	}

@@ -65,7 +65,7 @@ func BenchmarkAnalyze(b *testing.B) {
 		b.Run(s.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := analysis.Analyze(s.f, s.r, nil); err != nil {
+				if _, err := analysis.Analyze(s.f, s.r, nil, nil); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -85,7 +85,7 @@ func TestAnalyzeAllocs(t *testing.T) {
 	}
 	for _, s := range analyzeSubjects(t) {
 		n := testing.AllocsPerRun(20, func() {
-			if _, err := analysis.Analyze(s.f, s.r, nil); err != nil {
+			if _, err := analysis.Analyze(s.f, s.r, nil, nil); err != nil {
 				t.Fatal(err)
 			}
 		})

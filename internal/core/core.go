@@ -8,6 +8,7 @@ import (
 	"fmt"
 	"math"
 	"os"
+	"slices"
 
 	"dyncc/internal/codegen"
 	"dyncc/internal/ir"
@@ -212,7 +213,7 @@ func compile(src string, cfg Config, s *ir.Scratch) (*Compiled, error) {
 		for _, ri := range ctx.Regions {
 			if ri.Split != nil {
 				c.Runtime.SetupFn[ri.Index] =
-					makeSetupFn(mod, ri.Fn, ri.Split, out.FuncAlloc[ri.Fn.Name])
+					makeSetupFn(mod, ri.Fn, ri.Split, out.FuncAlloc[ri.Fn.Name], s)
 			}
 		}
 	}
@@ -228,7 +229,7 @@ func compile(src string, cfg Config, s *ir.Scratch) (*Compiled, error) {
 		for _, ri := range ctx.Regions {
 			if ri.Split != nil && ri.Index < len(out.Regions) &&
 				out.Regions[ri.Index].Shareable && len(ri.Region.Keys) > 0 {
-				if fn := makeKeySetupFn(mod, ri.Fn, ri.Region, ri.Split); fn != nil {
+				if fn := makeKeySetupFn(mod, ri.Fn, ri.Region, ri.Split, s); fn != nil {
 					c.Runtime.KeySetup[ri.Index] = fn
 				}
 			}
@@ -256,28 +257,30 @@ const mergedSetupCostPerStep = 2
 // setupInputs returns the values region sr's set-up code reads but does
 // not define, in first-use order over f's blocks. Both set-up evaluators
 // bind exactly these values before interpreting the set-up subgraph.
-func setupInputs(f *ir.Func, sr *split.Result) []ir.Value {
-	defined := map[ir.Value]bool{}
+func setupInputs(f *ir.Func, sr *split.Result, s *ir.Scratch) []ir.Value {
+	defer s.Release(s.Mark())
+	// defined holds the subgraph's own values and, as they are found, the
+	// inputs already listed.
+	defined := s.Bits(f.NumValues())
 	for _, b := range f.Blocks {
 		if !b.Setup || b.Region != sr.Region {
 			continue
 		}
 		for _, in := range b.Instrs {
 			if in.Dst != 0 {
-				defined[in.Dst] = true
+				defined.Add(int(in.Dst))
 			}
 		}
 	}
 	var inputs []ir.Value
-	seen := map[ir.Value]bool{}
 	for _, b := range f.Blocks {
 		if !b.Setup || b.Region != sr.Region {
 			continue
 		}
 		for _, in := range b.Instrs {
 			for _, a := range in.Args {
-				if !defined[a] && !seen[a] {
-					seen[a] = true
+				if !defined.Has(int(a)) {
+					defined.Add(int(a))
 					inputs = append(inputs, a)
 				}
 			}
@@ -291,9 +294,9 @@ func setupInputs(f *ir.Func, sr *split.Result) []ir.Value {
 // spill slots), interprets the subgraph directly against machine memory,
 // and returns the run-time constants table base.
 func makeSetupFn(mod *ir.Module, f *ir.Func, sr *split.Result,
-	alloc *regalloc.Allocation) func(m *vm.Machine) (int64, uint64, error) {
+	alloc *regalloc.Allocation, s *ir.Scratch) func(m *vm.Machine) (int64, uint64, error) {
 
-	inputs := setupInputs(f, sr)
+	inputs := setupInputs(f, sr, s)
 	return func(m *vm.Machine) (int64, uint64, error) {
 		env := &ir.InterpEnv{
 			Mod:          mod,
@@ -305,7 +308,7 @@ func makeSetupFn(mod *ir.Module, f *ir.Func, sr *split.Result,
 		}
 		init := map[ir.Value]int64{}
 		for _, v := range inputs {
-			loc := alloc.Loc[v]
+			loc := alloc.LocOf(v)
 			switch {
 			case loc.Spilled:
 				a := m.Regs[vm.RSP] + int64(loc.Slot)
@@ -341,44 +344,36 @@ const (
 // constant — which the Shareable proof rules out, so nil is purely
 // defensive (the region then stitches inline, never incorrectly).
 func makeKeySetupFn(mod *ir.Module, f *ir.Func, r *ir.Region,
-	sr *split.Result) rtr.KeySetupFunc {
+	sr *split.Result, s *ir.Scratch) rtr.KeySetupFunc {
 
-	inputs := setupInputs(f, sr)
+	inputs := setupInputs(f, sr, s)
 
 	// Bind every input at build time: keys positionally, constants by
 	// evaluating their defining instruction.
-	keyIdx := map[ir.Value]int{}
-	for i, k := range r.Keys {
-		keyIdx[k] = i
+	type binding struct {
+		v ir.Value
+		c int64
 	}
-	def := map[ir.Value]*ir.Instr{}
-	for _, b := range f.Blocks {
-		for _, in := range b.Instrs {
-			if in.Dst != 0 {
-				def[in.Dst] = in
-			}
-		}
-	}
-	constBind := map[ir.Value]int64{}
+	var constBind []binding
 	for _, v := range inputs {
-		if _, ok := keyIdx[v]; ok {
+		if slices.Contains(r.Keys, v) {
 			continue
 		}
-		in := def[v]
+		in := lastDef(f, v)
 		if in == nil {
 			return nil // a parameter that is not a key: not key-derivable
 		}
 		switch in.Op {
 		case ir.OpConst:
-			constBind[v] = in.Const
+			constBind = append(constBind, binding{v, in.Const})
 		case ir.OpFConst:
-			constBind[v] = int64(math.Float64bits(in.F))
+			constBind = append(constBind, binding{v, int64(math.Float64bits(in.F))})
 		case ir.OpGlobalAddr:
 			g := mod.GlobalIndex[in.Sym]
 			if g == nil {
 				return nil
 			}
-			constBind[v] = int64(g.Addr)
+			constBind = append(constBind, binding{v, int64(g.Addr)})
 		default:
 			return nil
 		}
@@ -426,8 +421,8 @@ func makeKeySetupFn(mod *ir.Module, f *ir.Func, r *ir.Region,
 			for i, k := range r.Keys {
 				init[k] = keyVals[i]
 			}
-			for v, c := range constBind {
-				init[v] = c
+			for _, b := range constBind {
+				init[b.v] = b.c
 			}
 			tbl, err := env.RunSetup(f, sr.SetupEntry, init)
 			if err != nil {
@@ -439,6 +434,20 @@ func makeKeySetupFn(mod *ir.Module, f *ir.Func, r *ir.Region,
 			return mem, tbl, nil
 		}
 	}
+}
+
+// lastDef returns the last instruction of f, in block order, that defines
+// v: after SSA destruction a value's DefOf may be stale.
+func lastDef(f *ir.Func, v ir.Value) *ir.Instr {
+	var def *ir.Instr
+	for _, b := range f.Blocks {
+		for _, in := range b.Instrs {
+			if in.Dst == v {
+				def = in
+			}
+		}
+	}
+	return def
 }
 
 // NewMachine creates a VM with the runtime attached. memWords <= 0 picks

@@ -69,7 +69,7 @@ func (p passInline) Run(ctx *pipeline.Context) error {
 	sums := analysis.Summaries(ctx.Module)
 	n := 0
 	for _, f := range ctx.Module.Funcs {
-		nn, err := inlineFunc(ctx.Module, f, sums, p.budget)
+		nn, err := inlineFunc(ctx.Module, f, sums, p.budget, ctx.Scratch)
 		n += nn
 		if err != nil {
 			return err
@@ -90,11 +90,11 @@ func inlinable(s *analysis.FuncSummary, budget int) bool {
 // policy accepts, graft it, rescan (grafted bodies may expose further
 // calls), until a fixpoint or the growth cap. Returns grafts performed.
 func inlineFunc(mod *ir.Module, f *ir.Func, sums map[string]*analysis.FuncSummary,
-	budget int) (int, error) {
+	budget int, s *ir.Scratch) (int, error) {
 
 	n := 0
 	for n < maxInlinesPerFunc {
-		call := nextInlinableCall(mod, f, sums, budget)
+		call := nextInlinableCall(mod, f, sums, budget, s)
 		if call == nil {
 			break
 		}
@@ -109,7 +109,7 @@ func inlineFunc(mod *ir.Module, f *ir.Func, sums map[string]*analysis.FuncSummar
 		// grafts may have extended: newly merged bodies must still admit a
 		// converging solution before the splitter consumes it.
 		for _, r := range f.Regions {
-			if _, err := analysis.Analyze(f, r, nil); err != nil {
+			if _, err := analysis.Analyze(f, r, nil, s); err != nil {
 				return n, fmt.Errorf("inline: post-graft analysis of %s: %w", f.Name, err)
 			}
 		}
@@ -121,9 +121,10 @@ func inlineFunc(mod *ir.Module, f *ir.Func, sums map[string]*analysis.FuncSummar
 // whose callee is eligible and for which the placement policy fires, or
 // nil.
 func nextInlinableCall(mod *ir.Module, f *ir.Func,
-	sums map[string]*analysis.FuncSummary, budget int) *ir.Instr {
+	sums map[string]*analysis.FuncSummary, budget int, s *ir.Scratch) *ir.Instr {
 
-	setup := setupSliceValues(f)
+	defer s.Release(s.Mark())
+	setup := setupSliceValues(f, s)
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {
 			if in.Op != ir.OpCall {
@@ -142,7 +143,7 @@ func nextInlinableCall(mod *ir.Module, f *ir.Func,
 			switch {
 			case b.Region != nil:
 				return in // inside a dynamic region: always
-			case in.Dst != 0 && setup[in.Dst]:
+			case in.Dst != 0 && setup.Has(int(in.Dst)):
 				return in // feeds a region's annotated keys/consts: always
 			case hasConstArg(f, in):
 				return in // demand: an argument is a run-time constant
@@ -156,14 +157,14 @@ func nextInlinableCall(mod *ir.Module, f *ir.Func,
 // region's annotated keys and constants — the region's set-up slice, the
 // code whose results the set-up code reads out of registers at region
 // entry. The walk stops at region-interior defs and parameters.
-func setupSliceValues(f *ir.Func) map[ir.Value]bool {
-	out := map[ir.Value]bool{}
+func setupSliceValues(f *ir.Func, s *ir.Scratch) ir.Bitset {
+	out := s.Bits(f.NumValues())
 	var walk func(v ir.Value, depth int)
 	walk = func(v ir.Value, depth int) {
-		if v == 0 || depth > 256 || out[v] {
+		if v == 0 || depth > 256 || out.Has(int(v)) {
 			return
 		}
-		out[v] = true
+		out.Add(int(v))
 		def := f.DefOf(v)
 		if def == nil || (def.Blk != nil && def.Blk.Region != nil) {
 			return

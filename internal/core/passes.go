@@ -100,7 +100,7 @@ func (passSplit) Run(ctx *pipeline.Context) error {
 		for _, r := range f.Regions {
 			ri := pipeline.RegionInfo{Fn: f, Region: r, Index: idx}
 			if ctx.Dynamic {
-				sr, err := split.Split(f, r)
+				sr, err := split.Split(f, r, ctx.Scratch)
 				if err != nil {
 					return err
 				}
@@ -121,7 +121,7 @@ func (passCodegen) Name() string { return "codegen" }
 func (p passCodegen) Run(ctx *pipeline.Context) error {
 	out, err := codegen.Compile(ctx.Module, ctx.Splits, codegen.Options{
 		NoFuse: p.noFuse,
-	})
+	}, ctx.Scratch)
 	if err != nil {
 		return err
 	}

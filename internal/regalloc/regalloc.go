@@ -7,7 +7,7 @@ package regalloc
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"dyncc/internal/ir"
 	"dyncc/internal/vm"
@@ -22,8 +22,19 @@ type Loc struct {
 
 // Allocation maps values to locations.
 type Allocation struct {
-	Loc       map[ir.Value]Loc
+	// Loc is indexed by value; values without a location (holes, and
+	// values never touched) read as the zero Loc.
+	Loc       []Loc
 	FrameSize int // total stack words incl. spills
+}
+
+// LocOf returns v's location (the zero Loc for values made after the
+// allocation).
+func (a *Allocation) LocOf(v ir.Value) Loc {
+	if int(v) < len(a.Loc) {
+		return a.Loc[v]
+	}
+	return Loc{}
 }
 
 // Verify enables the post-allocation overlap check (cheap; kept on). A
@@ -38,71 +49,56 @@ const (
 	TempC = vm.Reg(11)
 )
 
-// Pool of allocatable registers.
-func pool() []vm.Reg {
-	var rs []vm.Reg
-	for r := vm.Reg(12); r <= vm.RAllocLast; r++ {
-		rs = append(rs, r)
-	}
-	return rs
-}
-
-// holeSet is the set of values that are template holes (no register).
-type holeSet map[ir.Value]bool
+// firstAlloc is the first allocatable register; numAlloc is the size of
+// the pool firstAlloc..vm.RAllocLast.
+const (
+	firstAlloc = vm.Reg(12)
+	numAlloc   = int(vm.RAllocLast-firstAlloc) + 1
+)
 
 // Allocate assigns registers (or spill slots) to every value of f.
-// holes lists values that are table holes and take no register.
-func Allocate(f *ir.Func, holes map[ir.Value]bool) *Allocation {
-	hs := holeSet(holes)
-	order := blockOrder(f)
-	liveIn, liveOut := liveness(f, order, hs)
+// holes holds the values that are table holes and take no register (nil:
+// none). The liveness and interval tables come from s (nil is allowed).
+func Allocate(f *ir.Func, holes ir.Bitset, s *ir.Scratch) *Allocation {
+	defer s.Release(s.Mark())
+	nv := f.NumValues()
+	liveIn, liveOut := liveness(f, holes, s)
 
-	// Build conservative single-range intervals.
-	type interval struct {
-		v          ir.Value
-		start, end int
-	}
-	pos := map[*ir.Block]int{}
-	n := 0
-	for _, b := range order {
-		pos[b] = n
-		n += len(b.Instrs) + 1
-	}
-	iv := map[ir.Value]*interval{}
+	// Build conservative single-range intervals: value v spans
+	// [start[v], end[v]] once touched.
+	start, end := s.Int32s(nv), s.Int32s(nv)
+	touched := s.Bits(nv)
 	touch := func(v ir.Value, p int) {
-		if v == 0 || hs[v] {
+		if v == 0 || holes.Has(int(v)) {
 			return
 		}
-		i := iv[v]
-		if i == nil {
-			iv[v] = &interval{v: v, start: p, end: p}
+		if !touched.Has(int(v)) {
+			touched.Add(int(v))
+			start[v], end[v] = int32(p), int32(p)
 			return
 		}
-		if p < i.start {
-			i.start = p
-		}
-		if p > i.end {
-			i.end = p
-		}
+		start[v] = min(start[v], int32(p))
+		end[v] = max(end[v], int32(p))
 	}
 	// Parameters are defined by the prologue: their intervals must start at
 	// position 0 or another value could claim their register first.
 	for _, p := range f.Params {
 		touch(p, 0)
 	}
-	for _, b := range order {
-		bs := pos[b]
+	bs := 0
+	for _, b := range f.Blocks {
 		be := bs + len(b.Instrs)
 		// A value live across either block boundary is live at that
 		// boundary position: without this, a value entering a block and
 		// used mid-block would leave its head span uncovered and another
 		// definition could steal its register.
-		for v := range liveIn[b] {
-			touch(v, bs)
+		in, out := liveIn.Row(b.ID), liveOut.Row(b.ID)
+		for v := in.Next(0); v >= 0; v = in.Next(v + 1) {
+			touch(ir.Value(v), bs)
 		}
-		for v := range liveOut[b] {
-			touch(v, bs)
-			touch(v, be)
+		for v := out.Next(0); v >= 0; v = out.Next(v + 1) {
+			touch(ir.Value(v), bs)
+			touch(ir.Value(v), be)
 		}
 		for k, in := range b.Instrs {
 			p := bs + k
@@ -111,155 +107,129 @@ func Allocate(f *ir.Func, holes map[ir.Value]bool) *Allocation {
 				touch(a, p)
 			}
 		}
+		bs = be + 1
 	}
-
-	ivs := make([]*interval, 0, len(iv))
-	for _, i := range iv {
-		ivs = append(ivs, i)
+	ivs := s.Values(touched.Len())[:0]
+	for v := touched.Next(0); v >= 0; v = touched.Next(v + 1) {
+		ivs = append(ivs, ir.Value(v))
 	}
-	sort.Slice(ivs, func(a, b int) bool {
-		if ivs[a].start != ivs[b].start {
-			return ivs[a].start < ivs[b].start
+	slices.SortFunc(ivs, func(a, b ir.Value) int {
+		if start[a] != start[b] {
+			return int(start[a] - start[b])
 		}
-		return ivs[a].v < ivs[b].v
+		return int(a - b)
 	})
 
-	alloc := &Allocation{Loc: map[ir.Value]Loc{}, FrameSize: f.StackSize}
-	free := pool()
+	alloc := &Allocation{Loc: make([]Loc, nv), FrameSize: f.StackSize}
+	free := make([]vm.Reg, numAlloc, numAlloc)
+	for i := range free {
+		free[i] = firstAlloc + vm.Reg(i)
+	}
 	type active struct {
-		iv  *interval
+		v   ir.Value
 		reg vm.Reg
 	}
-	var act []active
+	act := make([]active, 0, numAlloc)
 
-	expire := func(p int) {
+	spillSlot := func() int {
+		s := alloc.FrameSize
+		alloc.FrameSize++
+		return s
+	}
+	for _, v := range ivs {
+		// Expire the intervals that ended before this one starts.
 		na := act[:0]
 		for _, a := range act {
-			if a.iv.end < p {
+			if end[a.v] < start[v] {
 				free = append(free, a.reg)
 			} else {
 				na = append(na, a)
 			}
 		}
 		act = na
-	}
-	spillSlot := func() int {
-		s := alloc.FrameSize
-		alloc.FrameSize++
-		return s
-	}
-
-	defer func() {
-		if !Verify {
-			return
-		}
-		type assigned struct {
-			iv  *interval
-			reg vm.Reg
-		}
-		var as []assigned
-		for _, i := range ivs {
-			l := alloc.Loc[i.v]
-			if l.Spilled || l.Reg == 0 {
-				continue
-			}
-			as = append(as, assigned{i, l.Reg})
-		}
-		for x := 0; x < len(as); x++ {
-			for y := x + 1; y < len(as); y++ {
-				if as[x].reg != as[y].reg {
-					continue
-				}
-				a, b := as[x].iv, as[y].iv
-				if a.start <= b.end && b.start <= a.end {
-					panic(fmt.Sprintf("regalloc: %s: v%d [%d,%d] and v%d [%d,%d] share r%d",
-						f.Name, a.v, a.start, a.end, b.v, b.start, b.end, as[x].reg))
-				}
-			}
-		}
-	}()
-
-	for _, i := range ivs {
-		expire(i.start)
 		if len(free) > 0 {
 			r := free[len(free)-1]
 			free = free[:len(free)-1]
-			alloc.Loc[i.v] = Loc{Reg: r}
-			act = append(act, active{iv: i, reg: r})
+			alloc.Loc[v] = Loc{Reg: r}
+			act = append(act, active{v: v, reg: r})
 			continue
 		}
 		// Spill the interval ending furthest away.
 		far := -1
 		for k, a := range act {
-			if far < 0 || a.iv.end > act[far].iv.end {
+			if far < 0 || end[a.v] > end[act[far].v] {
 				far = k
 			}
 		}
-		if far >= 0 && act[far].iv.end > i.end {
+		if far >= 0 && end[act[far].v] > end[v] {
 			r := act[far].reg
-			alloc.Loc[act[far].iv.v] = Loc{Spilled: true, Slot: spillSlot()}
-			alloc.Loc[i.v] = Loc{Reg: r}
-			act[far] = active{iv: i, reg: r}
+			alloc.Loc[act[far].v] = Loc{Spilled: true, Slot: spillSlot()}
+			alloc.Loc[v] = Loc{Reg: r}
+			act[far] = active{v: v, reg: r}
 		} else {
-			alloc.Loc[i.v] = Loc{Spilled: true, Slot: spillSlot()}
+			alloc.Loc[v] = Loc{Spilled: true, Slot: spillSlot()}
 		}
+	}
+	if Verify {
+		checkOverlap(f, alloc, ivs, start, end)
 	}
 	return alloc
 }
 
-// blockOrder returns all blocks in a deterministic layout order.
-func blockOrder(f *ir.Func) []*ir.Block {
-	return f.Blocks
+// checkOverlap panics if two values whose intervals overlap share a
+// register.
+func checkOverlap(f *ir.Func, alloc *Allocation, ivs []ir.Value, start, end []int32) {
+	for x, a := range ivs {
+		la := alloc.Loc[a]
+		if la.Spilled || la.Reg == 0 {
+			continue
+		}
+		for _, b := range ivs[x+1:] {
+			if lb := alloc.Loc[b]; lb.Spilled || lb.Reg != la.Reg {
+				continue
+			}
+			if start[a] <= end[b] && start[b] <= end[a] {
+				panic(fmt.Sprintf("regalloc: %s: v%d [%d,%d] and v%d [%d,%d] share r%d",
+					f.Name, a, start[a], end[a], b, start[b], end[b], la.Reg))
+			}
+		}
+	}
 }
 
-// liveness computes per-block live-out sets (backward union dataflow).
-// Hole values are excluded.
-func liveness(f *ir.Func, order []*ir.Block, hs holeSet) (map[*ir.Block]map[ir.Value]bool, map[*ir.Block]map[ir.Value]bool) {
-	use := map[*ir.Block]map[ir.Value]bool{}
-	def := map[*ir.Block]map[ir.Value]bool{}
-	for _, b := range order {
-		u, d := map[ir.Value]bool{}, map[ir.Value]bool{}
+// liveness computes per-block live-in and live-out sets, one row per
+// block ID (backward union dataflow). Hole values are excluded.
+func liveness(f *ir.Func, holes ir.Bitset, s *ir.Scratch) (liveIn, liveOut ir.BitMatrix) {
+	nb, nv := f.NumBlockIDs(), f.NumValues()
+	use, def := s.BitMatrix(nb, nv), s.BitMatrix(nb, nv)
+	for _, b := range f.Blocks {
+		u, d := use.Row(b.ID), def.Row(b.ID)
 		for _, in := range b.Instrs {
 			for _, a := range in.Args {
-				if a != 0 && !hs[a] && !d[a] {
-					u[a] = true
+				if a != 0 && !holes.Has(int(a)) && !d.Has(int(a)) {
+					u.Add(int(a))
 				}
 			}
 			if in.Dst != 0 {
-				d[in.Dst] = true
+				d.Add(int(in.Dst))
 			}
 		}
-		use[b], def[b] = u, d
 	}
-	liveIn := map[*ir.Block]map[ir.Value]bool{}
-	liveOut := map[*ir.Block]map[ir.Value]bool{}
-	for _, b := range order {
-		liveIn[b] = map[ir.Value]bool{}
-		liveOut[b] = map[ir.Value]bool{}
-	}
+	liveIn, liveOut = s.BitMatrix(nb, nv), s.BitMatrix(nb, nv)
 	for changed := true; changed; {
 		changed = false
-		for k := len(order) - 1; k >= 0; k-- {
-			b := order[k]
-			out := liveOut[b]
-			for _, s := range b.Succs() {
-				for v := range liveIn[s] {
-					if !out[v] {
-						out[v] = true
-						changed = true
-					}
+		for k := len(f.Blocks) - 1; k >= 0; k-- {
+			b := f.Blocks[k]
+			succs := b.Succs()
+			in, out := liveIn.Row(b.ID), liveOut.Row(b.ID)
+			u, d := use.Row(b.ID), def.Row(b.ID)
+			for w := range out {
+				o := out[w]
+				for _, sb := range succs {
+					o |= liveIn.Row(sb.ID)[w]
 				}
-			}
-			in := liveIn[b]
-			for v := range use[b] {
-				if !in[v] {
-					in[v] = true
-					changed = true
-				}
-			}
-			for v := range out {
-				if !def[b][v] && !in[v] {
-					in[v] = true
+				i := in[w] | u[w] | o&^d[w]
+				if o != out[w] || i != in[w] {
+					out[w], in[w] = o, i
 					changed = true
 				}
 			}

@@ -36,7 +36,7 @@ func chainFunc(n int) *ir.Func {
 
 func TestNoSpillUnderPressureLimit(t *testing.T) {
 	f := chainFunc(10)
-	a := Allocate(f, nil)
+	a := Allocate(f, nil, nil)
 	for v, loc := range a.Loc {
 		if loc.Spilled {
 			t.Errorf("v%d spilled with low pressure", v)
@@ -48,7 +48,7 @@ func TestSpillsUnderHighPressure(t *testing.T) {
 	// More simultaneously-live values than registers forces spills; the
 	// overlap verifier (always on) proves assignments stay disjoint.
 	f := chainFunc(60)
-	a := Allocate(f, nil)
+	a := Allocate(f, nil, nil)
 	spills := 0
 	for _, loc := range a.Loc {
 		if loc.Spilled {
@@ -73,8 +73,10 @@ func TestHolesGetNoRegisters(t *testing.T) {
 	b.Append(&ir.Instr{Op: ir.OpAdd, Args: []ir.Value{p, hole}, Dst: v, Typ: types.IntType})
 	b.Append(&ir.Instr{Op: ir.OpRet, Args: []ir.Value{v}})
 	f.ComputePreds()
-	a := Allocate(f, map[ir.Value]bool{hole: true})
-	if loc, ok := a.Loc[hole]; ok && (loc.Reg != 0 || loc.Spilled) {
+	holes := ir.NewBitset(f.NumValues())
+	holes.Add(int(hole))
+	a := Allocate(f, holes, nil)
+	if loc := a.Loc[hole]; loc.Reg != 0 || loc.Spilled {
 		t.Errorf("hole allocated a location: %+v", loc)
 	}
 }
@@ -103,7 +105,7 @@ func TestParamsProtectedFromEntry(t *testing.T) {
 	}
 	b.Append(&ir.Instr{Op: ir.OpRet, Args: []ir.Value{s}})
 	f.ComputePreds()
-	a := Allocate(f, nil)
+	a := Allocate(f, nil, nil)
 	seen := map[string]ir.Value{}
 	for v, loc := range a.Loc {
 		if loc.Spilled {

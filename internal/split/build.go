@@ -2,7 +2,7 @@ package split
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"dyncc/internal/analysis"
 	"dyncc/internal/ir"
@@ -10,55 +10,69 @@ import (
 )
 
 // build performs the actual split once the analysis solution is final.
-func build(f *ir.Func, r *ir.Region, res *analysis.Result) (*Result, error) {
+func build(f *ir.Func, r *ir.Region, res *analysis.Result, s *ir.Scratch) (*Result, error) {
 	out := &Result{
 		Region:     r,
 		Analysis:   res,
-		Holes:      map[ir.Value]SlotRef{},
 		BranchSlot: map[*ir.Instr]SlotRef{},
 		NextSlot:   map[*ir.Loop]int{},
 	}
+	nv := f.NumValues() // values made from here on are set-up values
 
 	// Region blocks in RPO, captured before we add set-up blocks.
 	var regionRPO []*ir.Block
-	for _, b := range f.ReversePostorder() {
+	for _, b := range s.ReversePostorder(f) {
 		if b.Region == r && !b.Setup {
 			regionRPO = append(regionRPO, b)
 		}
 	}
+	isConst := func(v ir.Value) bool { return res.Const.Has(int(v)) }
 
 	// ---- 1. Assign table slots to hole values. Compile-time literal
 	// constants are a special case of run-time constants (paper footnote in
 	// section 3.1) but never need table slots: they stay in the templates
 	// as ordinary immediates.
+	// holeAt[v] is 1 + v's index in out.Holes (0: not a hole).
+	holeAt := s.Int32s(nv)
+	hole := func(v ir.Value) (SlotRef, bool) {
+		if int(v) < len(holeAt) && holeAt[v] > 0 {
+			return out.Holes[holeAt[v]-1].Slot, true
+		}
+		return SlotRef{}, false
+	}
 	counter := map[*ir.Loop]int{}
 	assign := func(v ir.Value) {
-		if _, ok := out.Holes[v]; ok {
+		if _, ok := hole(v); ok {
 			return
 		}
 		if isLiteral(f, v) {
 			return
 		}
 		scope := loopOf(f, r, v)
-		out.Holes[v] = SlotRef{Loop: scope, Slot: counter[scope]}
+		out.Holes = append(out.Holes, Hole{V: v, Slot: SlotRef{Loop: scope, Slot: counter[scope]}})
+		holeAt[v] = int32(len(out.Holes))
 		counter[scope]++
 	}
 	for _, b := range regionRPO {
 		for _, in := range b.Instrs {
-			if in.Dst != 0 && res.Const[in.Dst] && !isLiteral(f, in.Dst) {
+			if in.Dst != 0 && isConst(in.Dst) && !isLiteral(f, in.Dst) {
 				continue // moves to set-up
 			}
 			for _, a := range in.Args {
-				if res.Const[a] {
+				if isConst(a) {
 					assign(a)
 				}
 			}
 			if res.ConstBranch[in] {
-				if s, ok := out.Holes[in.Args[0]]; ok {
+				if s, ok := hole(in.Args[0]); ok {
 					out.BranchSlot[in] = s
 				}
 			}
 		}
+	}
+	slices.SortFunc(out.Holes, func(a, b Hole) int { return int(a.V - b.V) })
+	for i, h := range out.Holes {
+		holeAt[h.V] = int32(i + 1)
 	}
 	// Loop header slots live in the parent scope; the next-record link is
 	// the last slot of each record.
@@ -77,14 +91,15 @@ func build(f *ir.Func, r *ir.Region, res *analysis.Result) (*Result, error) {
 	r.TableSize = counter[nil]
 
 	// ---- 2. Compute the needed set (what set-up must materialize).
-	needed := neededValues(f, r, res, out)
+	needed := neededValues(f, r, res, out, s)
 
 	// ---- 3. Emit set-up code.
 	bd := &builder{
 		f: f, r: r, res: res, out: out,
-		vmap:   map[ir.Value]ir.Value{},
+		vmap:   s.Values(nv),
 		rec:    map[*ir.Loop]ir.Value{},
 		needed: needed,
+		hole:   hole,
 		rpo:    regionRPO,
 	}
 	if err := bd.emitSetup(); err != nil {
@@ -96,14 +111,14 @@ func build(f *ir.Func, r *ir.Region, res *analysis.Result) (*Result, error) {
 	// templates or lie outside the region, so literal constants they
 	// reference stay materialized (plan exempts literals used outside the
 	// region from demotion because their template definition stays).
-	used := map[ir.Value]bool{}
+	used := s.Bits(f.NumValues())
 	for _, b := range regionRPO {
 		for _, in := range b.Instrs {
-			if in.Dst != 0 && res.Const[in.Dst] && !isLiteral(f, in.Dst) {
+			if in.Dst != 0 && isConst(in.Dst) && !isLiteral(f, in.Dst) {
 				continue // will be stripped
 			}
 			for _, a := range in.Args {
-				used[a] = true
+				used.Add(int(a))
 			}
 		}
 	}
@@ -113,7 +128,7 @@ func build(f *ir.Func, r *ir.Region, res *analysis.Result) (*Result, error) {
 		}
 		for _, in := range b.Instrs {
 			for _, a := range in.Args {
-				used[a] = true
+				used.Add(int(a))
 			}
 		}
 	}
@@ -124,9 +139,9 @@ func build(f *ir.Func, r *ir.Region, res *analysis.Result) (*Result, error) {
 		b.Template = true
 		kept := b.Instrs[:0]
 		for _, in := range b.Instrs {
-			if in.Dst != 0 && res.Const[in.Dst] {
+			if in.Dst != 0 && isConst(in.Dst) {
 				if isLiteral(f, in.Dst) {
-					if used[in.Dst] {
+					if used.Has(int(in.Dst)) {
 						kept = append(kept, in)
 					}
 					continue
@@ -177,17 +192,17 @@ func build(f *ir.Func, r *ir.Region, res *analysis.Result) (*Result, error) {
 // that set-up code must compute: hole values, constant-branch predicates,
 // their constant arguments, and the predicates referenced by the
 // reachability conditions of constant-merge φs.
-func neededValues(f *ir.Func, r *ir.Region, res *analysis.Result, out *Result) map[ir.Value]bool {
-	needed := map[ir.Value]bool{}
-	var work []ir.Value
+func neededValues(f *ir.Func, r *ir.Region, res *analysis.Result, out *Result, s *ir.Scratch) ir.Bitset {
+	needed := s.Bits(f.NumValues())
+	work := s.Values(f.NumValues())[:0]
 	add := func(v ir.Value) {
-		if v != 0 && res.Const[v] && !needed[v] {
-			needed[v] = true
+		if v != 0 && res.Const.Has(int(v)) && !needed.Has(int(v)) {
+			needed.Add(int(v))
 			work = append(work, v)
 		}
 	}
-	for _, v := range sortedHoleKeys(out.Holes) {
-		add(v)
+	for _, h := range out.Holes {
+		add(h.V)
 	}
 	for len(work) > 0 {
 		v := work[len(work)-1]
@@ -213,25 +228,19 @@ func neededValues(f *ir.Func, r *ir.Region, res *analysis.Result, out *Result) m
 	return needed
 }
 
-func sortedHoleKeys(m map[ir.Value]SlotRef) []ir.Value {
-	ks := make([]ir.Value, 0, len(m))
-	for k := range m {
-		ks = append(ks, k)
-	}
-	sort.Slice(ks, func(i, j int) bool { return ks[i] < ks[j] })
-	return ks
-}
-
 // ---------------------------------------------------------------- builder
 
 type builder struct {
-	f      *ir.Func
-	r      *ir.Region
-	res    *analysis.Result
-	out    *Result
-	vmap   map[ir.Value]ir.Value
+	f   *ir.Func
+	r   *ir.Region
+	res *analysis.Result
+	out *Result
+	// vmap[v] is the set-up incarnation of region constant v (0: none
+	// yet), for the values that existed before set-up emission.
+	vmap   []ir.Value
 	rec    map[*ir.Loop]ir.Value // current record base per active loop
-	needed map[ir.Value]bool
+	needed ir.Bitset
+	hole   func(ir.Value) (SlotRef, bool)
 	rpo    []*ir.Block
 
 	cur         *ir.Block
@@ -267,8 +276,8 @@ func (bd *builder) constInt(v int64) ir.Value {
 // resolve maps a region constant to its set-up incarnation; values defined
 // before the region are used directly.
 func (bd *builder) resolve(v ir.Value) (ir.Value, error) {
-	if nv, ok := bd.vmap[v]; ok {
-		return nv, nil
+	if int(v) < len(bd.vmap) && bd.vmap[v] != 0 {
+		return bd.vmap[v], nil
 	}
 	def := bd.f.DefOf(v)
 	if def != nil && def.Blk != nil && def.Blk.Region == bd.r && !def.Blk.Setup {
@@ -299,10 +308,10 @@ func (bd *builder) emitSetup() error {
 
 	// Store holes whose values are defined before the region (the annotated
 	// constants themselves and anything computed upstream).
-	for _, v := range sortedHoleKeys(bd.out.Holes) {
-		def := bd.f.DefOf(v)
+	for _, h := range bd.out.Holes {
+		def := bd.f.DefOf(h.V)
 		if def == nil || def.Blk == nil || def.Blk.Region != bd.r {
-			bd.emitSlotStore(bd.out.Holes[v], v)
+			bd.emitSlotStore(h.Slot, h.V)
 		}
 	}
 
@@ -370,7 +379,7 @@ func (bd *builder) emitUnit(parent *ir.Loop) error {
 // heads, whose φs are materialized as real loop φs by emitLoop.
 func (bd *builder) emitBlockConsts(b *ir.Block, skipPhis bool) error {
 	for _, in := range b.Instrs {
-		if in.Dst == 0 || !bd.res.Const[in.Dst] || !bd.needed[in.Dst] {
+		if in.Dst == 0 || !bd.res.Const.Has(int(in.Dst)) || !bd.needed.Has(int(in.Dst)) {
 			continue
 		}
 		if in.Op == ir.OpPhi {
@@ -396,7 +405,7 @@ func (bd *builder) emitBlockConsts(b *ir.Block, skipPhis bool) error {
 			bd.f.ValueInfo(dst).Def = clone
 			bd.vmap[in.Dst] = dst
 		}
-		if slot, ok := bd.out.Holes[in.Dst]; ok {
+		if slot, ok := bd.hole(in.Dst); ok {
 			bd.emitSlotStore(slot, bd.vmap[in.Dst])
 		}
 	}
@@ -543,7 +552,7 @@ func (bd *builder) emitLoop(l *ir.Loop) error {
 	}
 	// All φs are emitted before any straight-line code (block-head invariant).
 	for _, op := range l.Head.Phis() {
-		if !bd.res.Const[op.Dst] || !bd.needed[op.Dst] {
+		if !bd.res.Const.Has(int(op.Dst)) || !bd.needed.Has(int(op.Dst)) {
 			continue
 		}
 		ea, err := bd.resolve(op.Args[entryIdx])
@@ -554,7 +563,7 @@ func (bd *builder) emitLoop(l *ir.Loop) error {
 		nv := bd.emitV(np)
 		bd.vmap[op.Dst] = nv
 		fixups = append(fixups, fixup{phi: np, origArg: op.Args[latchIdx]})
-		if slot, ok := bd.out.Holes[op.Dst]; ok {
+		if slot, ok := bd.hole(op.Dst); ok {
 			phiStores = append(phiStores, struct {
 				slot SlotRef
 				val  ir.Value

@@ -14,6 +14,7 @@ package split
 
 import (
 	"fmt"
+	"slices"
 
 	"dyncc/internal/analysis"
 	"dyncc/internal/ir"
@@ -51,9 +52,9 @@ type Result struct {
 	TemplateEntry *ir.Block
 	TableValue    ir.Value // set-up value holding the region table base
 
-	// Holes maps run-time-constant values referenced by template code to
-	// their table slots.
-	Holes map[ir.Value]SlotRef
+	// Holes lists the run-time-constant values referenced by template
+	// code with their table slots, in ascending value order.
+	Holes []Hole
 
 	// BranchSlot maps retained constant branches (CONST_BRANCH directives)
 	// to the slot holding their predicate.
@@ -66,28 +67,45 @@ type Result struct {
 	Stats Stats
 }
 
+// Hole is one template hole: a run-time-constant value and its slot.
+type Hole struct {
+	V    ir.Value
+	Slot SlotRef
+}
+
+// HoleSlot returns v's table slot, if v is a hole.
+func (r *Result) HoleSlot(v ir.Value) (SlotRef, bool) {
+	i, ok := slices.BinarySearchFunc(r.Holes, v, func(h Hole, v ir.Value) int { return int(h.V - v) })
+	if !ok {
+		return SlotRef{}, false
+	}
+	return r.Holes[i].Slot, true
+}
+
 // Split analyzes and splits region r of f (SSA form required), mutating f:
 // region blocks become template blocks stripped of constant computations,
-// and new set-up blocks are linked in behind an OpDynEnter entry.
-func Split(f *ir.Func, r *ir.Region) (*Result, error) {
-	forced := map[ir.Value]bool{}
+// and new set-up blocks are linked in behind an OpDynEnter entry. Its
+// working tables come from s (nil is allowed); the Result owns its own.
+func Split(f *ir.Func, r *ir.Region, s *ir.Scratch) (*Result, error) {
+	defer s.Release(s.Mark())
+	forced := s.Bits(f.NumValues())
 	for attempt := 0; ; attempt++ {
-		res, err := analysis.Analyze(f, r, forced)
+		res, err := analysis.Analyze(f, r, forced, s)
 		if err != nil {
 			return nil, err
 		}
 		if err := checkUnrollLegality(f, r, res); err != nil {
 			return nil, err
 		}
-		demote := plan(f, r, res)
+		demote := plan(f, r, res, s)
 		if len(demote) == 0 {
-			return build(f, r, res)
+			return build(f, r, res, s)
 		}
 		if attempt > 64 {
 			return nil, fmt.Errorf("split: demotion did not converge in %s region %d", f.Name, r.ID)
 		}
 		for _, v := range demote {
-			forced[v] = true
+			forced.Add(int(v))
 		}
 	}
 }
@@ -158,16 +176,18 @@ func loopOf(f *ir.Func, r *ir.Region, v ir.Value) *ir.Loop {
 //  2. constant-merge φs whose reachability atoms reference branches that
 //     appear later in reverse postorder (their predicates would not yet be
 //     materialized when the select chain runs).
-func plan(f *ir.Func, r *ir.Region, res *analysis.Result) []ir.Value {
-	rpo := map[*ir.Block]int{}
-	for i, b := range f.ReversePostorder() {
-		rpo[b] = i
+func plan(f *ir.Func, r *ir.Region, res *analysis.Result, s *ir.Scratch) []ir.Value {
+	defer s.Release(s.Mark())
+	// rpo[b.ID] is b's reverse-postorder position (0 when unreachable).
+	rpo := s.Int32s(f.NumBlockIDs())
+	for i, b := range s.ReversePostorder(f) {
+		rpo[b.ID] = int32(i)
 	}
 	var demote []ir.Value
-	seen := map[ir.Value]bool{}
+	seen := s.Bits(f.NumValues())
 	add := func(v ir.Value) {
-		if !seen[v] {
-			seen[v] = true
+		if !seen.Has(int(v)) {
+			seen.Add(int(v))
 			demote = append(demote, v)
 		}
 	}
@@ -176,12 +196,12 @@ func plan(f *ir.Func, r *ir.Region, res *analysis.Result) []ir.Value {
 	// would lose its definition when the splitter strips it from the
 	// template (the set-up value lives only in the table). Demote such
 	// values so they stay ordinary computations.
-	definedIn := map[ir.Value]bool{}
+	definedIn := s.Bits(f.NumValues())
 	for _, b := range f.Blocks {
 		if b.Region == r && !b.Setup {
 			for _, in := range b.Instrs {
 				if in.Dst != 0 {
-					definedIn[in.Dst] = true
+					definedIn.Add(int(in.Dst))
 				}
 			}
 		}
@@ -194,7 +214,7 @@ func plan(f *ir.Func, r *ir.Region, res *analysis.Result) []ir.Value {
 			for _, a := range in.Args {
 				// Literals keep their (dominating) template definition, so
 				// outside uses still see the value in its register.
-				if definedIn[a] && res.Const[a] && !isLiteral(f, a) {
+				if definedIn.Has(int(a)) && res.Const.Has(int(a)) && !isLiteral(f, a) {
 					add(a)
 				}
 			}
@@ -206,14 +226,14 @@ func plan(f *ir.Func, r *ir.Region, res *analysis.Result) []ir.Value {
 			continue
 		}
 		for _, in := range b.Instrs {
-			if in.Dst != 0 && res.Const[in.Dst] {
+			if in.Dst != 0 && res.Const.Has(int(in.Dst)) {
 				// This instruction moves to set-up; check φ schedulability.
 				if in.Op == ir.OpPhi && !isUnrolledHead(r, b) {
 					for pi := range b.Preds {
 						ec := res.EdgeReach[analysis.EdgeKey{To: b, PredIdx: pi}]
 						for _, cj := range ec.Disj {
 							for _, a := range cj {
-								if rpo[a.Block] >= rpo[b] {
+								if rpo[a.Block.ID] >= rpo[b.ID] {
 									add(in.Dst)
 								}
 							}
@@ -229,7 +249,7 @@ func plan(f *ir.Func, r *ir.Region, res *analysis.Result) []ir.Value {
 			// per-iteration constant reaching an exit merge through an
 			// in-loop predecessor is fine.
 			for ai, a := range in.Args {
-				if !res.Const[a] || isLiteral(f, a) {
+				if !res.Const.Has(int(a)) || isLiteral(f, a) {
 					continue
 				}
 				useBlk := b

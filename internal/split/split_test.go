@@ -20,7 +20,7 @@ func splitFirst(t *testing.T, src, fn string) (*ir.Func, *Result) {
 	}
 	f := mod.FuncIndex[fn]
 	ir.BuildSSA(f, nil)
-	res, err := Split(f, f.Regions[0])
+	res, err := Split(f, f.Regions[0], nil)
 	if err != nil {
 		t.Fatalf("split: %v", err)
 	}
@@ -106,8 +106,8 @@ int f(int *a, int n, int x) {
 		t.Fatalf("loops unrolled: %d", res.Stats.LoopsUnrolled)
 	}
 	region, loop := 0, 0
-	for _, s := range res.Holes {
-		if s.Loop == nil {
+	for _, h := range res.Holes {
+		if h.Slot.Loop == nil {
 			region++
 		} else {
 			loop++
@@ -231,7 +231,7 @@ int f(int *a, int n, int m) {
 	}
 	f := mod.FuncIndex["f"]
 	ir.BuildSSA(f, nil)
-	if _, err := Split(f, f.Regions[0]); err == nil {
+	if _, err := Split(f, f.Regions[0], nil); err == nil {
 		t.Error("expected illegal-unroll error for non-constant bound")
 	}
 }
@@ -246,10 +246,10 @@ int f(int c, int x) {
     }
     return r;
 }`, "f")
-	for v, s := range res.Holes {
-		def := res.Region.Fn.DefOf(v)
+	for _, h := range res.Holes {
+		def := res.Region.Fn.DefOf(h.V)
 		if def != nil && def.Op == ir.OpConst {
-			t.Errorf("literal v%d got table slot %v", v, s)
+			t.Errorf("literal v%d got table slot %v", h.V, h.Slot)
 		}
 	}
 }
