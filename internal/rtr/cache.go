@@ -137,16 +137,19 @@ type entry struct {
 	err  error
 
 	// Guarded by the owning shard's mutex.
-	bytes int64 // seg.MemFootprint(), cached at publish
-	ref   bool  // CLOCK reference bit, set on every shared hit
-	slot  int   // index in the shard's ring; -1 when not resident
+	putGen uint64 // generation the store holds this entry's blob under, once resident
+	bytes  int64  // seg.MemFootprint(), cached at publish
+	ref    bool   // CLOCK reference bit, set on every shared hit
+	slot   int    // index in the shard's ring; -1 when not resident
 }
 
 // shard is one lock domain of the shared cache. Stitcher statistics and
 // cache counters are accumulated per shard and folded on read so the
 // stitch path never takes a runtime-global lock.
 type shard struct {
-	mu      sync.Mutex
+	mu sync.Mutex
+	// entries is made on the shard's first claim: most programs touch few
+	// of their shards, and reads, range and delete are safe on nil.
 	entries map[cacheKey]*entry
 	ring    []*entry         // resident entries, in CLOCK order
 	hand    int              // CLOCK hand into ring
@@ -281,8 +284,16 @@ func (rt *Runtime) claim(region int, key string) (e *entry, won bool, gen uint64
 	}
 	gen = rt.gens[region].Load()
 	e = &entry{key: ck, gen: gen, done: make(chan struct{}), slot: -1}
-	sh.entries[ck] = e
+	sh.mapLocked(ck, e)
 	return e, true, gen
+}
+
+// mapLocked maps ck to e, making the shard's table on its first entry.
+func (sh *shard) mapLocked(ck cacheKey, e *entry) {
+	if sh.entries == nil {
+		sh.entries = map[cacheKey]*entry{}
+	}
+	sh.entries[ck] = e
 }
 
 // withdraw fails a claim that will never be produced (a full stitch
@@ -305,6 +316,7 @@ type produced struct {
 	stats    stitcher.Stats // zero unless stitched
 	stitched bool           // the stitcher ran (false: adopted from the store)
 	kept     bool           // published into the shared cache
+	loadGen  uint64         // adoptions: the generation the blob was loaded from
 }
 
 // produce is the runtime's one stitch producer. It makes the segment for
@@ -324,6 +336,7 @@ func (rt *Runtime) produce(m *vm.Machine, tbl int64, region int, key string,
 		// missers coalesce onto this one read and the warm lookup path
 		// never sees the store.
 		if p.seg = rt.storeLoad(region, gen, key); p.seg != nil {
+			p.loadGen = gen
 			return rt.settle(region, key, e, p, nil)
 		}
 	}
@@ -371,9 +384,12 @@ func (rt *Runtime) produce(m *vm.Machine, tbl int64, region int, key string,
 //   - a published stitch is put to the store under the generation its
 //     entry is resident under (e.gen read at the fence, under the shard
 //     lock), not the claim's: a sibling InvalidateKey may have moved both
-//     the region and e.gen on since the claim, and both store deletes
-//     (Invalidate's resident sweep and InvalidateKey's previous
-//     generation) name the resident generation. The caps are then
+//     the region and e.gen on since the claim. The entry records that
+//     generation as putGen (an adoption records the one its blob was
+//     loaded from), because a later sibling sweep moves e.gen on again
+//     while the blob stays put: every blob this process puts or adopts is
+//     named by both store deletes (Invalidate's resident sweep and
+//     InvalidateKey of its key), which read putGen. The caps are then
 //     restored by reclaim;
 //   - every segment produced is retained for diagnostics (keepStitched).
 func (rt *Runtime) settle(region int, key string, e *entry,
@@ -417,6 +433,10 @@ func (rt *Runtime) settle(region int, key string, e *entry,
 		p.kept = reserved && e.gen == rt.gens[region].Load() && sh.entries[ck] == e
 		if p.kept {
 			putGen = e.gen
+			if !p.stitched {
+				putGen = p.loadGen
+			}
+			e.putGen = putGen
 			e.bytes = int64(p.seg.MemFootprint())
 			rt.makeRoomLocked(sh, region, e.bytes)
 			sh.publishLocked(rt, e)

@@ -30,7 +30,7 @@ func addCompleted(rt *Runtime, region int, key string, seg *vm.Segment) *entry {
 		panic("addCompleted: no resident slot")
 	}
 	sh.mu.Lock()
-	sh.entries[ck] = e
+	sh.mapLocked(ck, e)
 	sh.publishLocked(rt, e)
 	sh.mu.Unlock()
 	return e
@@ -57,8 +57,8 @@ func TestLookupAccountingInvariant(t *testing.T) {
 	// 3: in-flight entry counts as a wait, not a miss.
 	shB := rt.shardFor(0, "b")
 	shB.mu.Lock()
-	shB.entries[cacheKey{0, "b"}] = &entry{key: cacheKey{0, "b"},
-		done: make(chan struct{}), slot: -1}
+	shB.mapLocked(cacheKey{0, "b"}, &entry{key: cacheKey{0, "b"},
+		done: make(chan struct{}), slot: -1})
 	shB.mu.Unlock()
 	if got := rt.lookupShared(0, "b"); got != nil {
 		t.Fatal("in-flight entry must not be served")
@@ -69,7 +69,7 @@ func TestLookupAccountingInvariant(t *testing.T) {
 		err: errors.New("boom"), slot: -1}
 	close(ec.done)
 	shC.mu.Lock()
-	shC.entries[cacheKey{0, "c"}] = ec
+	shC.mapLocked(cacheKey{0, "c"}, ec)
 	shC.mu.Unlock()
 	if got := rt.lookupShared(0, "c"); got != nil {
 		t.Fatal("failed entry must not be served")
@@ -311,7 +311,7 @@ func TestEntryCapHardUnderConcurrentPublishers(t *testing.T) {
 					continue
 				}
 				sh.mu.Lock()
-				sh.entries[e.key] = e
+				sh.mapLocked(e.key, e)
 				sh.publishLocked(rt, e)
 				sh.mu.Unlock()
 			}

@@ -188,9 +188,6 @@ func New(prog *vm.Program, regions []*tmpl.Region, opts Options) *Runtime {
 		regionResident: make([]atomic.Int64, len(regions)),
 		regionBytes:    make([]atomic.Int64, len(regions)),
 	}
-	for i := range rt.shards {
-		rt.shards[i].entries = map[cacheKey]*entry{}
-	}
 	if opts.Cache.AsyncStitch {
 		q := opts.Cache.StitchQueue
 		if q <= 0 {
@@ -244,7 +241,7 @@ func (rt *Runtime) Invalidate(region int) {
 			select {
 			case <-e.done:
 				if rt.storeEnabled() && e.err == nil {
-					stale = append(stale, storeOp{region: region, gen: e.gen, key: ck.key})
+					stale = append(stale, storeOp{region: region, gen: e.putGen, key: ck.key})
 				}
 				sh.dropLocked(rt, e)
 			default:
@@ -291,6 +288,12 @@ func (rt *Runtime) InvalidateKey(region int, keyVals ...int64) {
 			if k == ck {
 				select {
 				case <-e.done:
+					// A resident entry's blob lies under the generation it
+					// was put at, which a sibling sweep may have left
+					// behind gen-1.
+					if rt.storeEnabled() && e.err == nil && e.putGen != gen-1 {
+						rt.storeDeleteGen(region, e.putGen, ck.key)
+					}
 					sh.dropLocked(rt, e)
 				default:
 					delete(sh.entries, k)

@@ -216,6 +216,56 @@ func TestInvalidateDeletesPutAcrossSiblingInvalidation(t *testing.T) {
 	}
 }
 
+// TestInvalidateDeletesResidentAcrossSiblingInvalidation: a published
+// entry stays resident when InvalidateKey sweeps a sibling, which moves
+// the entry's generation snapshot on while its blob stays under the
+// generation it was put (or adopted) at. A later Invalidate of the region,
+// or InvalidateKey of the entry's own key, must still delete that blob.
+func TestInvalidateDeletesResidentAcrossSiblingInvalidation(t *testing.T) {
+	for name, invalidate := range map[string]func(*Runtime){
+		"region": func(rt *Runtime) { rt.Invalidate(0) },
+		"key":    func(rt *Runtime) { rt.InvalidateKey(0, 5) },
+	} {
+		for _, adopt := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/adopt=%v", name, adopt), func(t *testing.T) {
+				store := segio.NewMemStore()
+				key := encodeKey([]int64{5})
+				if adopt {
+					// A first process stitches and puts the blob at
+					// generation 0; this one adopts it.
+					rt0, m0 := producerRuntime(CacheOptions{Store: store})
+					e, _, gen := rt0.claim(0, key)
+					if _, err := rt0.produce(m0, fixtureTbl, 0, key, e, gen); err != nil {
+						t.Fatal(err)
+					}
+					rt0.Close()
+				}
+				rt, m := producerRuntime(CacheOptions{Store: store})
+				defer rt.Close()
+				e, _, gen := rt.claim(0, key)
+				p, err := rt.produce(m, fixtureTbl, 0, key, e, gen)
+				if err != nil || !p.kept || p.stitched == adopt {
+					t.Fatalf("publish: stitched=%v kept=%v err=%v", p.stitched, p.kept, err)
+				}
+				rt.WaitIdle()
+				if store.Len() != 1 {
+					t.Fatalf("store holds %d blobs after the publish, want 1", store.Len())
+				}
+
+				rt.InvalidateKey(0, 6) // a sibling: the entry stays resident
+				if rt.lookupShared(0, key) != p.seg {
+					t.Fatal("a sibling's invalidation dropped the resident entry")
+				}
+				invalidate(rt)
+				rt.WaitIdle()
+				if store.Len() != 0 {
+					t.Fatal("the invalidated specialization's persisted blob survived")
+				}
+			})
+		}
+	}
+}
+
 // TestAdoptStoredPublish: a store hit under a won claim is published with
 // the same generation fence as a stitch, without counting one, and is then
 // served by ordinary lookups. The store is consulted under the claim-time
@@ -414,7 +464,7 @@ func TestNegativeRegionAccounting(t *testing.T) {
 
 	rt.reserveEntry(sh)
 	sh.mu.Lock()
-	sh.entries[ck] = e
+	sh.mapLocked(ck, e)
 	sh.publishLocked(rt, e) // site 1: publish
 	sh.mu.Unlock()
 	if rt.resident.Load() != 1 {
