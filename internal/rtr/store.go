@@ -31,7 +31,9 @@
 // additionally enqueues a best-effort Delete of the invalidated digest —
 // otherwise a pre-invalidation blob persisted at generation g could be
 // served by a *future* process whose counter is back at g. Invalidate
-// likewise deletes the digests of the resident entries it sweeps. Both are
+// likewise deletes the digests of the resident entries it sweeps. Both
+// name a resident entry's blob by its putGen, the generation it was put or
+// adopted at, which sibling invalidations do not move. Both are
 // best-effort (a full publish queue drops them); callers that need
 // stronger cross-restart coherence should fold a data version into the
 // region key itself.
