@@ -15,7 +15,9 @@ all: check
 # reference) pass under the race
 # detector (fast enough for every check run; `race` still covers the
 # whole tree), batch compilation gets a
-# race-enabled Compile/CompileBatch stress run, a fixed-seed differential
+# race-enabled Compile/CompileBatch stress run next to a race-enabled run
+# of the packages whose dense tables live in the per-worker compile
+# scratch (ir, regalloc, opt), a fixed-seed differential
 # sweep smoke and a short race-enabled serving run, a race-enabled
 # automatic-promotion sweep smoke (annotation-stripped programs promoting,
 # guarding and deoptimizing against the reference), a race-enabled
@@ -40,6 +42,7 @@ check:
 	$(GO) test -race -timeout 120s -run 'TestPersistentStoreRoundTrip' .
 	$(GO) test -race -short -timeout 120s -run 'TestStoreFixedSeeds' ./internal/testgen
 	$(GO) test -race -short -timeout 180s -run 'TestCompileBatch|TestCompileRaceBatchVsSerial' ./internal/core
+	$(GO) test -race -timeout 180s ./internal/ir ./internal/regalloc ./internal/opt
 	$(GO) test -short -timeout 120s -run 'TestBatchSweepFixedSeeds' ./internal/testgen
 	$(GO) test -race -short -timeout 180s -run 'TestServeSmall' ./internal/bench
 	$(GO) test -race -short -timeout 180s -run 'TestAutoFixedSeeds' ./internal/testgen
