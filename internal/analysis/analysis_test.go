@@ -16,7 +16,7 @@ func analyzeRegion(t *testing.T, src, fn string) (*ir.Func, *Result) {
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	mod, err := lower.Lower(file)
+	mod, err := lower.Lower(file, nil)
 	if err != nil {
 		t.Fatalf("lower: %v", err)
 	}
@@ -335,7 +335,7 @@ int f(int c, int d) {
     return r;
 }`
 	file, _ := parser.Parse(src)
-	mod, _ := lower.Lower(file)
+	mod, _ := lower.Lower(file, nil)
 	f := mod.FuncIndex["f"]
 	ir.BuildSSA(f, nil)
 	r := f.Regions[0]

@@ -37,8 +37,10 @@ type FuncSummary struct {
 }
 
 // Summarize computes the summary of one function. f may be in either SSA
-// or pre-SSA form; reachability is taken from the entry block.
-func Summarize(f *ir.Func) *FuncSummary {
+// or pre-SSA form; reachability is taken from the entry block, with the
+// walk's tables from sc (nil is allowed).
+func Summarize(f *ir.Func, sc *ir.Scratch) *FuncSummary {
+	defer sc.Release(sc.Mark())
 	s := &FuncSummary{Pure: true, ReturnsValue: true}
 	if f.StackSize > 0 {
 		s.HasAddressOfLocal = true
@@ -47,7 +49,7 @@ func Summarize(f *ir.Func) *FuncSummary {
 		s.HasRegion = true
 	}
 	seenCallee := map[string]bool{}
-	for _, b := range f.ReversePostorder() {
+	for _, b := range sc.ReversePostorder(f) {
 		for _, in := range b.Instrs {
 			s.Size++
 			switch in.Op {
@@ -87,10 +89,10 @@ func Summarize(f *ir.Func) *FuncSummary {
 // Recursive bit over the static call graph: a function is Recursive iff it
 // lies on a call-graph cycle (including a direct self-call). Purity needs
 // no closure — Summarize already treats any user call as impure.
-func Summaries(mod *ir.Module) map[string]*FuncSummary {
+func Summaries(mod *ir.Module, sc *ir.Scratch) map[string]*FuncSummary {
 	sums := make(map[string]*FuncSummary, len(mod.Funcs))
 	for _, f := range mod.Funcs {
-		sums[f.Name] = Summarize(f)
+		sums[f.Name] = Summarize(f, sc)
 	}
 	// Cycle detection by DFS with colors; every function on a cycle (or
 	// whose call chain re-enters a function already on the current stack)

@@ -17,7 +17,7 @@ func compileProg(t *testing.T, src string, dynamic bool) (*codegen.Output, *ir.M
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	mod, err := lower.Lower(file)
+	mod, err := lower.Lower(file, nil)
 	if err != nil {
 		t.Fatalf("lower: %v", err)
 	}

@@ -89,7 +89,7 @@ func (p passAutoRegion) inlineableCallees(file *ast.File, s *ir.Scratch) map[str
 	if p.inlineBudget < 0 {
 		return nil
 	}
-	mod, err := lower.Lower(file)
+	mod, err := lower.Lower(file, s)
 	if err != nil {
 		return nil
 	}
@@ -97,7 +97,7 @@ func (p passAutoRegion) inlineableCallees(file *ast.File, s *ir.Scratch) map[str
 		ir.BuildSSA(f, s)
 	}
 	el := map[string]bool{}
-	for name, s := range analysis.Summaries(mod) {
+	for name, s := range analysis.Summaries(mod, s) {
 		if inlinable(s, p.inlineBudget) {
 			el[name] = true
 		}

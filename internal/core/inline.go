@@ -66,7 +66,7 @@ func (p passInline) Run(ctx *pipeline.Context) error {
 	// Callee summaries are computed once against the pre-pass module:
 	// deterministic, and grafted bodies are re-scanned per caller below so
 	// transitive helper chains still collapse.
-	sums := analysis.Summaries(ctx.Module)
+	sums := analysis.Summaries(ctx.Module, ctx.Scratch)
 	n := 0
 	for _, f := range ctx.Module.Funcs {
 		nn, err := inlineFunc(ctx.Module, f, sums, p.budget, ctx.Scratch)
@@ -99,7 +99,7 @@ func inlineFunc(mod *ir.Module, f *ir.Func, sums map[string]*analysis.FuncSummar
 			break
 		}
 		callee := mod.FuncIndex[call.Sym]
-		if err := ir.InlineCall(f, call, callee); err != nil {
+		if err := ir.InlineCall(f, call, callee, s); err != nil {
 			return n, fmt.Errorf("inline %s into %s: %w", call.Sym, f.Name, err)
 		}
 		n++

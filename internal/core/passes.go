@@ -34,7 +34,7 @@ func (passLower) Name() string    { return "lower" }
 func (passLower) MutatesIR() bool { return true }
 
 func (passLower) Run(ctx *pipeline.Context) error {
-	mod, err := lower.Lower(ctx.File)
+	mod, err := lower.Lower(ctx.File, ctx.Scratch)
 	if err != nil {
 		return err
 	}

@@ -22,9 +22,11 @@ type DomTree struct {
 // s the tree lives in s: it is valid until the Release of the Mark taken
 // before the call, or the next BuildDomTree on s, whichever is first.
 func BuildDomTree(f *Func, s *Scratch) *DomTree {
-	t := new(DomTree)
+	var t *DomTree
 	if s != nil {
 		t = &s.dom
+	} else {
+		t = new(DomTree)
 	}
 	rpo := s.reversePostorder(f)
 	n := len(rpo)

@@ -23,7 +23,9 @@ import (
 //     (address-taken locals cannot be dissolved into the caller's frame),
 //   - callee has at least one `ret`, with a value iff the call expects one,
 //   - argument and parameter counts match.
-func InlineCall(caller *Func, call *Instr, callee *Func) error {
+//
+// The walk's tables come from s (nil is allowed).
+func InlineCall(caller *Func, call *Instr, callee *Func, s *Scratch) error {
 	if call.Op != OpCall || call.Sym != callee.Name {
 		return fmt.Errorf("inline: instr is not a call of %s", callee.Name)
 	}
@@ -60,7 +62,8 @@ func InlineCall(caller *Func, call *Instr, callee *Func) error {
 	}
 
 	// Only the reachable subgraph of the callee is grafted.
-	reach := callee.ReversePostorder()
+	defer s.Release(s.Mark())
+	reach := s.reversePostorder(callee)
 	if len(callee.Entry().Preds) != 0 {
 		return fmt.Errorf("inline: %s entry has predecessors", callee.Name)
 	}
@@ -87,7 +90,7 @@ func InlineCall(caller *Func, call *Instr, callee *Func) error {
 	// Value map: parameters bind to the call's arguments; every value the
 	// callee defines gets a fresh caller value up front, so forward
 	// references (φs naming values defined later) resolve in one pass.
-	vmap := make([]Value, callee.NumValues())
+	vmap := s.Values(callee.NumValues())
 	for i, p := range callee.Params {
 		vmap[p] = call.Args[i]
 	}
@@ -117,7 +120,7 @@ func InlineCall(caller *Func, call *Instr, callee *Func) error {
 	// the call did).
 	// bmap[cb.ID] is the clone of callee block cb (nil: unreachable).
 	loops := append([]*Loop(nil), b.Loops...)
-	bmap := make([]*Block, callee.NumBlockIDs())
+	bmap := s.Blocks(callee.NumBlockIDs())
 	for _, cb := range reach {
 		nb := caller.NewBlock()
 		nb.Region = b.Region

@@ -16,7 +16,7 @@ func buildSSA(t *testing.T, src string) *ir.Module {
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	mod, err := lower.Lower(file)
+	mod, err := lower.Lower(file, nil)
 	if err != nil {
 		t.Fatalf("lower: %v", err)
 	}
@@ -47,7 +47,7 @@ func inlineAndVerify(t *testing.T, mod *ir.Module, caller, callee string) *ir.Fu
 	if call == nil {
 		t.Fatalf("no call of %s in %s", callee, caller)
 	}
-	if err := ir.InlineCall(cr, call, ce); err != nil {
+	if err := ir.InlineCall(cr, call, ce, nil); err != nil {
 		t.Fatalf("InlineCall: %v", err)
 	}
 	if err := ir.Verify(cr, nil); err != nil {
@@ -203,15 +203,15 @@ int f(int x) {
 	f := mod.FuncIndex["f"]
 	// Direct self-inline.
 	rec := mod.FuncIndex["rec"]
-	if err := ir.InlineCall(rec, findCall(rec, "rec"), rec); err == nil {
+	if err := ir.InlineCall(rec, findCall(rec, "rec"), rec, nil); err == nil {
 		t.Fatal("self-inline accepted")
 	}
 	// Stack frame.
-	if err := ir.InlineCall(f, findCall(f, "addr"), mod.FuncIndex["addr"]); err == nil {
+	if err := ir.InlineCall(f, findCall(f, "addr"), mod.FuncIndex["addr"], nil); err == nil {
 		t.Fatal("stack-frame callee accepted")
 	}
 	// Dynamic region.
-	if err := ir.InlineCall(f, findCall(f, "region"), mod.FuncIndex["region"]); err == nil {
+	if err := ir.InlineCall(f, findCall(f, "region"), mod.FuncIndex["region"], nil); err == nil {
 		t.Fatal("region-bearing callee accepted")
 	}
 	// Everything still verifies after the refusals.

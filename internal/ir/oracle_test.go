@@ -42,7 +42,7 @@ func corpusFuncs(t *testing.T, ssa bool) []*ir.Func {
 		if err != nil {
 			t.Fatal(err)
 		}
-		mod, err := lower.Lower(file)
+		mod, err := lower.Lower(file, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -261,7 +261,7 @@ func TestScratchPerWorker(t *testing.T) {
 			t.Error(err)
 			return ""
 		}
-		mod, err := lower.Lower(file)
+		mod, err := lower.Lower(file, nil)
 		if err != nil {
 			t.Error(err)
 			return ""

@@ -80,7 +80,7 @@ func (lw *lowerer) lowerFunc(fd *ast.FuncDecl) {
 	fl.popScope()
 	fl.checkRegionEdges()
 	f.ComputePreds()
-	f.RemoveUnreachable(nil)
+	f.RemoveUnreachable(lw.scratch)
 	lw.mod.AddFunc(f)
 }
 

@@ -12,12 +12,14 @@ import (
 	"dyncc/internal/types"
 )
 
-// Lower type-checks and lowers a parsed file to an IR module.
-func Lower(file *ast.File) (*ir.Module, error) {
+// Lower type-checks and lowers a parsed file to an IR module. Its
+// reachability tables come from s (nil is allowed).
+func Lower(file *ast.File, s *ir.Scratch) (*ir.Module, error) {
 	lw := &lowerer{
 		mod:     ir.NewModule(),
 		structs: map[string]*types.Type{},
 		funcs:   map[string]*types.Type{},
+		scratch: s,
 	}
 	for _, sd := range file.Structs {
 		lw.declareStruct(sd)
@@ -44,6 +46,7 @@ type lowerer struct {
 	structs map[string]*types.Type
 	funcs   map[string]*types.Type
 	errs    []error
+	scratch *ir.Scratch
 }
 
 func (lw *lowerer) errorf(p token.Pos, format string, args ...any) {

@@ -13,7 +13,7 @@ func lowerSrc(t *testing.T, src string) *ir.Module {
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	mod, err := Lower(file)
+	mod, err := Lower(file, nil)
 	if err != nil {
 		t.Fatalf("lower: %v", err)
 	}
@@ -175,7 +175,7 @@ func TestErrors(t *testing.T) {
 		if err != nil {
 			continue // parse error also acceptable
 		}
-		if _, err := Lower(file); err == nil {
+		if _, err := Lower(file, nil); err == nil {
 			t.Errorf("%q: expected lowering error", src)
 		}
 	}
@@ -191,7 +191,7 @@ int f(int c) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Lower(file); err == nil {
+	if _, err := Lower(file, nil); err == nil {
 		t.Error("expected error: aggregate annotated as run-time constant")
 	}
 }

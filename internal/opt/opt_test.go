@@ -16,7 +16,7 @@ func compileSSA(t *testing.T, src string) *ir.Module {
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	mod, err := lower.Lower(file)
+	mod, err := lower.Lower(file, nil)
 	if err != nil {
 		t.Fatalf("lower: %v", err)
 	}

@@ -14,7 +14,7 @@ func splitFirst(t *testing.T, src, fn string) (*ir.Func, *Result) {
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	mod, err := lower.Lower(file)
+	mod, err := lower.Lower(file, nil)
 	if err != nil {
 		t.Fatalf("lower: %v", err)
 	}
@@ -225,7 +225,7 @@ int f(int *a, int n, int m) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mod, err := lower.Lower(file)
+	mod, err := lower.Lower(file, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
