@@ -469,10 +469,13 @@ func (rt *Runtime) Attach(m *vm.Machine) {
 			rt.fallbackRuns.Add(1)
 			return rt.generic(region), nil
 		}
-		if r := rt.Regions[region]; r.Auto && rt.auto != nil && !rt.isPromoted(region) {
+		if r := rt.Regions[region]; r.Auto && rt.auto != nil && (key == "" || !rt.isPromoted(region)) {
 			// Profiling state of an Auto region: run on the generic tier so
 			// an unstable region never pays specialization costs. Regions
 			// the generic renderer cannot express stitch inline as always.
+			// So does a deopt re-entry: a failed guard jumps to set-up
+			// without a DYNENTER, so no key is pending, and another machine
+			// may have promoted the region again since the deopt.
 			if gseg := rt.generic(region); gseg != nil {
 				rt.fallbackRuns.Add(1)
 				return gseg, nil
