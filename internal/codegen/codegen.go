@@ -205,7 +205,7 @@ func (fg *funcGen) gen() (*vm.Segment, []*tmpl.Region, error) {
 		fg.add(vm.Inst{Op: vm.SUBI, Rd: vm.RSP, Rs: vm.RSP, Imm: frame})
 	}
 	for i, p := range f.Params {
-		loc := fg.alloc.LocOf(p)
+		loc := fg.alloc.Loc[p]
 		src := vm.RA0 + vm.Reg(i)
 		if loc.Spilled {
 			fg.add(vm.Inst{Op: vm.ST, Rs: vm.RSP, Imm: int64(loc.Slot), Rt: src})
@@ -338,7 +338,7 @@ func (s sink) add(in vm.Inst) int {
 }
 
 func (fg *funcGen) srcReg(v ir.Value, temp vm.Reg, s sink) vm.Reg {
-	loc := fg.alloc.LocOf(v)
+	loc := fg.alloc.Loc[v]
 	if !loc.Spilled {
 		if loc.Reg == 0 {
 			return vm.RZero // undefined value: reads as 0
@@ -352,7 +352,7 @@ func (fg *funcGen) srcReg(v ir.Value, temp vm.Reg, s sink) vm.Reg {
 // dstReg returns the register to write v into and, when spilled, a store
 // to flush afterwards.
 func (fg *funcGen) dstReg(v ir.Value) (vm.Reg, *vm.Inst) {
-	loc := fg.alloc.LocOf(v)
+	loc := fg.alloc.Loc[v]
 	if !loc.Spilled {
 		if loc.Reg == 0 {
 			return regalloc.TempC, nil // dead value: scratch

@@ -308,7 +308,7 @@ func makeSetupFn(mod *ir.Module, f *ir.Func, sr *split.Result,
 		}
 		init := map[ir.Value]int64{}
 		for _, v := range inputs {
-			loc := alloc.LocOf(v)
+			loc := alloc.Loc[v]
 			switch {
 			case loc.Spilled:
 				a := m.Regs[vm.RSP] + int64(loc.Slot)

@@ -28,7 +28,7 @@ func BuildDomTree(f *Func, s *Scratch) *DomTree {
 	} else {
 		t = new(DomTree)
 	}
-	rpo := s.reversePostorder(f)
+	rpo := s.ReversePostorder(f)
 	n := len(rpo)
 	pos := s.Int32s(f.numBlocks)
 	for i := range pos {

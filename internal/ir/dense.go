@@ -29,13 +29,6 @@ func (s Bitset) Has(i int) bool {
 // Add puts i into the set; i must be within its size.
 func (s Bitset) Add(i int) { s[i>>6] |= 1 << (uint(i) & 63) }
 
-// Remove takes i out of the set; integers beyond its size are ignored.
-func (s Bitset) Remove(i int) {
-	if w := i >> 6; i >= 0 && w < len(s) {
-		s[w] &^= 1 << (uint(i) & 63)
-	}
-}
-
 // Next returns the smallest member >= i, or -1 when there is none, so
 // `for i := s.Next(0); i >= 0; i = s.Next(i + 1)` visits the members in
 // ascending order.

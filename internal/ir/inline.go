@@ -63,7 +63,7 @@ func InlineCall(caller *Func, call *Instr, callee *Func, s *Scratch) error {
 
 	// Only the reachable subgraph of the callee is grafted.
 	defer s.Release(s.Mark())
-	reach := s.reversePostorder(callee)
+	reach := s.ReversePostorder(callee)
 	if len(callee.Entry().Preds) != 0 {
 		return fmt.Errorf("inline: %s entry has predecessors", callee.Name)
 	}

@@ -410,18 +410,11 @@ func (f *Func) ComputePreds() {
 	}
 }
 
-// ReversePostorder returns blocks reachable from entry in reverse postorder.
-func (f *Func) ReversePostorder() []*Block {
-	return append(make([]*Block, 0, len(f.Blocks)), (*Scratch)(nil).reversePostorder(f)...)
-}
-
-// ReversePostorder is f.ReversePostorder with the order held in s, valid
-// until the Release of the Mark taken before the call.
-func (s *Scratch) ReversePostorder(f *Func) []*Block { return s.reversePostorder(f) }
-
-// reversePostorder runs the depth-first search iteratively, visiting
-// successors in terminator order, so the order is the recursive one.
-func (s *Scratch) reversePostorder(f *Func) []*Block {
+// ReversePostorder returns the blocks reachable from f's entry in reverse
+// postorder, held in s: valid until the Release of the Mark taken before
+// the call. The depth-first search runs iteratively, visiting successors in
+// terminator order, so the order is the recursive one.
+func (s *Scratch) ReversePostorder(f *Func) []*Block {
 	seen := s.Bits(f.numBlocks)
 	order := s.Blocks(f.numBlocks)
 	// stack holds the path from the entry; next[i] is the index of the
@@ -456,7 +449,7 @@ func (s *Scratch) reversePostorder(f *Func) []*Block {
 func (f *Func) RemoveUnreachable(s *Scratch) {
 	defer s.Release(s.Mark())
 	reach := s.Bits(f.numBlocks)
-	rpo := s.reversePostorder(f)
+	rpo := s.ReversePostorder(f)
 	for _, b := range rpo {
 		reach.Add(b.ID)
 	}

@@ -66,7 +66,7 @@ type refDom struct {
 }
 
 func buildRefDom(f *ir.Func) refDom {
-	rpo := f.ReversePostorder()
+	rpo := (*ir.Scratch)(nil).ReversePostorder(f)
 	idx := map[*ir.Block]int{}
 	for i, b := range rpo {
 		idx[b] = i

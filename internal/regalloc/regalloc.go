@@ -28,15 +28,6 @@ type Allocation struct {
 	FrameSize int // total stack words incl. spills
 }
 
-// LocOf returns v's location (the zero Loc for values made after the
-// allocation).
-func (a *Allocation) LocOf(v ir.Value) Loc {
-	if int(v) < len(a.Loc) {
-		return a.Loc[v]
-	}
-	return Loc{}
-}
-
 // Verify enables the post-allocation overlap check (cheap; kept on). A
 // constant, not a variable: package-level compiler state must be immutable
 // so concurrent compilations (core.CompileBatch) share nothing mutable.

@@ -14,7 +14,6 @@ package split
 
 import (
 	"fmt"
-	"slices"
 
 	"dyncc/internal/analysis"
 	"dyncc/internal/ir"
@@ -71,15 +70,6 @@ type Result struct {
 type Hole struct {
 	V    ir.Value
 	Slot SlotRef
-}
-
-// HoleSlot returns v's table slot, if v is a hole.
-func (r *Result) HoleSlot(v ir.Value) (SlotRef, bool) {
-	i, ok := slices.BinarySearchFunc(r.Holes, v, func(h Hole, v ir.Value) int { return int(h.V - v) })
-	if !ok {
-		return SlotRef{}, false
-	}
-	return r.Holes[i].Slot, true
 }
 
 // Split analyzes and splits region r of f (SSA form required), mutating f:
