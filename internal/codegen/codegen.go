@@ -132,12 +132,14 @@ func (fg *funcGen) gen() (*vm.Segment, []*tmpl.Region, error) {
 
 	keepSwitch := map[*ir.Instr]bool{}
 	fg.isHole = s.Bits(f.NumValues())
-	fg.holeSlot = make([]split.SlotRef, f.NumValues())
 	for _, r := range f.Regions {
 		sr := fg.splits[r]
 		if sr == nil {
 			fg.static = true
 			continue
+		}
+		if len(sr.Holes) > 0 && fg.holeSlot == nil {
+			fg.holeSlot = make([]split.SlotRef, f.NumValues())
 		}
 		for _, h := range sr.Holes {
 			fg.isHole.Add(int(h.V))
