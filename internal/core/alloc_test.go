@@ -15,7 +15,7 @@ var raceEnabled bool
 // an unrolled render loop in a keyed region), go1.24 on amd64. With
 // per-value and per-block maps on the compile path the same compile made
 // 1 328 allocations.
-const compileAllocBudget = 642
+const compileAllocBudget = 636
 
 // TestCompileAllocBudget pins the static compile's allocations: a change
 // that brings back per-pass or per-function tables fails here, not in a

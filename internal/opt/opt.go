@@ -384,6 +384,7 @@ func CSE(f *ir.Func, s *ir.Scratch) int {
 		}
 	}
 	cs.avail = make(map[cseKey]ir.Value, n)
+	cs.undo = make([]cseUndo, 0, n)
 	return cs.walk(f.Entry())
 }
 
