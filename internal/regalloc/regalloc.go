@@ -112,7 +112,7 @@ func Allocate(f *ir.Func, holes ir.Bitset, s *ir.Scratch) *Allocation {
 	})
 
 	alloc := &Allocation{Loc: make([]Loc, nv), FrameSize: f.StackSize}
-	free := make([]vm.Reg, numAlloc, numAlloc)
+	free := make([]vm.Reg, numAlloc)
 	for i := range free {
 		free[i] = firstAlloc + vm.Reg(i)
 	}
